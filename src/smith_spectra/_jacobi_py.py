@@ -12,11 +12,11 @@ from math import hypot, sqrt
 import numpy as np
 
 
-def frobenius_norm(a: np.ndarray) -> float:
+def _frobenius_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a * a)))
 
 
-def off_diagonal_norm(a: np.ndarray) -> float:
+def _off_diagonal_norm(a: np.ndarray) -> float:
     # summed entry by entry (not as ||A||_F^2 - ||diag||^2, which cancels
     # catastrophically once the matrix is nearly diagonal)
     off = a.copy()
@@ -27,8 +27,8 @@ def off_diagonal_norm(a: np.ndarray) -> float:
 def cyclic_jacobi(a: np.ndarray, tol: float, max_sweeps: int) -> tuple[int, float]:
     """Run row-cyclic Jacobi sweeps in place; returns (sweeps_used, off_norm)."""
     n = a.shape[0]
-    threshold = tol * frobenius_norm(a)
-    off = off_diagonal_norm(a)
+    threshold = tol * _frobenius_norm(a)
+    off = _off_diagonal_norm(a)
     if n < 2 or off <= threshold:
         return 0, off
 
@@ -58,7 +58,7 @@ def cyclic_jacobi(a: np.ndarray, tol: float, max_sweeps: int) -> tuple[int, floa
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
                 a[p, q] = a[q, p] = 0.0
-        off = off_diagonal_norm(a)
+        off = _off_diagonal_norm(a)
         if off <= threshold:
             return sweep, off
     return max_sweeps, off

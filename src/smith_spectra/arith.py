@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -64,44 +65,42 @@ def _table(limit: int, slots: list[int], label: str) -> ArithTable:
     return ArithTable(limit, tuple(slots), label)
 
 
-def sieve_totient(n: int) -> ArithTable:
-    """Euler's totient phi on 1..n by a linear (Euler) sieve, O(n)."""
-    _require_positive(n)
+def _linear_sieve(n: int) -> tuple[list[int], list[int]]:
+    """Euler's totient phi and Moebius mu on 0..n by one linear (Euler) sieve, O(n)."""
     phi = [0] * (n + 1)
-    phi[1] = 1
+    mu = [0] * (n + 1)
+    phi[1] = mu[1] = 1
     smallest = [0] * (n + 1)  # smallest prime factor, 0 = not yet seen
     primes: list[int] = []
     for i in range(2, n + 1):
         if smallest[i] == 0:
             smallest[i] = i
             phi[i] = i - 1
-            primes.append(i)
-        for p in primes:
-            if p > smallest[i] or i * p > n:
-                break
-            smallest[i * p] = p
-            phi[i * p] = phi[i] * (p - 1) if p != smallest[i] else phi[i] * p
-    return _table(n, phi, "phi")
-
-
-def sieve_mobius(n: int) -> ArithTable:
-    """Moebius mu on 1..n by a linear sieve, O(n)."""
-    _require_positive(n)
-    mu = [0] * (n + 1)
-    mu[1] = 1
-    smallest = [0] * (n + 1)
-    primes: list[int] = []
-    for i in range(2, n + 1):
-        if smallest[i] == 0:
-            smallest[i] = i
             mu[i] = -1
             primes.append(i)
         for p in primes:
             if p > smallest[i] or i * p > n:
                 break
             smallest[i * p] = p
-            mu[i * p] = 0 if p == smallest[i] else -mu[i]
-    return _table(n, mu, "mu")
+            if p == smallest[i]:
+                phi[i * p] = phi[i] * p
+                mu[i * p] = 0
+            else:
+                phi[i * p] = phi[i] * (p - 1)
+                mu[i * p] = -mu[i]
+    return phi, mu
+
+
+def sieve_totient(n: int) -> ArithTable:
+    """Euler's totient phi on 1..n, O(n)."""
+    _require_positive(n)
+    return _table(n, _linear_sieve(n)[0], "phi")
+
+
+def sieve_mobius(n: int) -> ArithTable:
+    """Moebius mu on 1..n, O(n)."""
+    _require_positive(n)
+    return _table(n, _linear_sieve(n)[1], "mu")
 
 
 def zeta_table(n: int) -> ArithTable:
@@ -123,13 +122,7 @@ def jordan_totient(n: int, k: int) -> ArithTable:
     _require_positive(n)
     if k < 0:
         raise ValueError(f"Jordan totient order must be >= 0, got {k}")
-    mu = sieve_mobius(n)
-    out = [0] * (n + 1)
-    for d in range(1, n + 1):
-        dk = d**k
-        for q in range(1, n // d + 1):
-            out[d * q] += dk * mu[q]
-    return _table(n, out, f"jordan_{k}")
+    return dirichlet_convolve(power_table(n, k), sieve_mobius(n), label=f"jordan_{k}")
 
 
 def dirichlet_convolve(f: ArithTable, g: ArithTable, label: str | None = None) -> ArithTable:
@@ -141,13 +134,14 @@ def dirichlet_convolve(f: ArithTable, g: ArithTable, label: str | None = None) -
     if f.limit != g.limit:
         raise ValueError(f"table limits differ: {f.limit} != {g.limit}")
     n = f.limit
+    fv, gv = f.values, g.values
     out = [0] * (n + 1)
     for d in range(1, n + 1):
-        fd = f.values[d]
+        fd = fv[d]
         if fd == 0:
             continue
         for q in range(1, n // d + 1):
-            out[d * q] += fd * g.values[q]
+            out[d * q] += fd * gv[q]
     return _table(n, out, label or f"({f.label})*({g.label})")
 
 
@@ -172,40 +166,29 @@ def gcd_square_row_sum(n: int) -> ArithTable:
 
 
 def coprime_square_sum(t: int) -> int:
-    """Sum of k^2 over 1 <= k <= t with gcd(k, t) = 1.
-
-    Uses the Moebius closed form (t/6) sum_{d|t} d mu(d) (t/d + 1)(2 t/d + 1).
-    The pre-division value is always divisible by 6; a failed division means
-    the formula was transcribed wrong, so it is asserted rather than rounded.
-    """
+    """Sum of k^2 over 1 <= k <= t with gcd(k, t) = 1."""
     _require_positive(t)
-    mu = sieve_mobius(t)
-    total = 0
-    for d in divisors(t):
-        q = t // d
-        total += d * mu[d] * (q + 1) * (2 * q + 1)
-    total *= t
-    assert total % 6 == 0, f"coprime square sum of {t}: {total} not divisible by 6"
-    return total // 6
+    return _coprime_square_sum_table(t)[t]
 
 
-def _coprime_square_sum_table(n: int) -> list[int]:
-    """coprime_square_sum(t) for all t <= n in one O(n log n) pass."""
+def _coprime_square_sum_table(n: int) -> ArithTable:
+    """coprime_square_sum(t) for all t <= n in one O(n log n) pass.
+
+    Uses the Moebius closed form (t/6) sum_{d|t} d mu(d) (t/d + 1)(2 t/d + 1),
+    i.e. (t/6) ((N mu) * h)(t) with h(q) = (q + 1)(2q + 1). The pre-division
+    value is always divisible by 6; a failed division means the formula was
+    transcribed wrong, so it is asserted rather than rounded.
+    """
     mu = sieve_mobius(n)
-    pre = [0] * (n + 1)
-    for d in range(1, n + 1):
-        md = mu.values[d]
-        if md == 0:
-            continue
-        dm = d * md
-        for q in range(1, n // d + 1):
-            pre[d * q] += dm * (q + 1) * (2 * q + 1)
+    n_mu = _table(n, [d * m for d, m in enumerate(mu.values)], "N*mu")
+    h = _table(n, [0] + [(q + 1) * (2 * q + 1) for q in range(1, n + 1)], "(q+1)(2q+1)")
+    pre = dirichlet_convolve(n_mu, h).values
     out = [0] * (n + 1)
     for t in range(1, n + 1):
         total = t * pre[t]
         assert total % 6 == 0, f"coprime square sum of {t}: {total} not divisible by 6"
         out[t] = total // 6
-    return out
+    return _table(n, out, "coprime_sq")
 
 
 def lcm_square_row_sum(n: int) -> ArithTable:
@@ -215,13 +198,8 @@ def lcm_square_row_sum(n: int) -> ArithTable:
     square sum, exact integers throughout.
     """
     _require_positive(n)
-    g = _coprime_square_sum_table(n)
-    gz = [0] * (n + 1)
-    for d in range(1, n + 1):
-        gd = g[d]
-        for m in range(d, n + 1, d):
-            gz[m] += gd
-    return _table(n, [0] + [i * i * gz[i] for i in range(1, n + 1)], "lcm_sq_rowsum")
+    gz = dirichlet_convolve(_coprime_square_sum_table(n), zeta_table(n)).values
+    return _table(n, [i * i * v for i, v in enumerate(gz)], "lcm_sq_rowsum")
 
 
 def _centering_constant(n: int) -> Fraction:
@@ -229,15 +207,29 @@ def _centering_constant(n: int) -> Fraction:
     return Fraction(7 * n * n + 12 * n + 5, 12)
 
 
+# family -> prefix sums P[k] = sum_{i<=k} (row sum i), for k = 0..limit; one
+# table per family, regrown to the next power of two >= n when n outgrows it
+_row_sum_prefix: dict[str, list[int]] = {}
+
+
+def _s_squared(n: int, family: str) -> Fraction:
+    """s^2 = (2/n) P(n) - (7n^2 + 12n + 5)/12, P read from the family's prefix table."""
+    if n < 2:
+        raise ValueError(f"s^2 needs n >= 2, got {n}")
+    prefix = _row_sum_prefix.get(family)
+    if prefix is None or len(prefix) <= n:
+        row_sums = gcd_square_row_sum if family == "gcd" else lcm_square_row_sum
+        prefix = list(accumulate(row_sums(1 << (n - 1).bit_length()).values))
+        _row_sum_prefix[family] = prefix
+    return Fraction(2 * prefix[n], n) - _centering_constant(n)
+
+
 def s_squared_gcd(n: int) -> Fraction:
     """Spectral variance s^2 = tr(A^2)/n - (tr A / n)^2 of the gcd matrix on {1..n}.
 
     Exact rational: (2/n) sum_{i<=n} (N^2 * phi)(i) - (7n^2 + 12n + 5)/12.
     """
-    if n < 2:
-        raise ValueError(f"s^2 needs n >= 2, got {n}")
-    rows = gcd_square_row_sum(n)
-    return Fraction(2 * sum(rows.values[1:]), n) - _centering_constant(n)
+    return _s_squared(n, "gcd")
 
 
 def s_squared_lcm(n: int) -> Fraction:
@@ -245,10 +237,7 @@ def s_squared_lcm(n: int) -> Fraction:
 
     Exact rational: (2/n) sum_{i<=n} i^2 (g * zeta)(i) - (7n^2 + 12n + 5)/12.
     """
-    if n < 2:
-        raise ValueError(f"s^2 needs n >= 2, got {n}")
-    rows = lcm_square_row_sum(n)
-    return Fraction(2 * sum(rows.values[1:]), n) - _centering_constant(n)
+    return _s_squared(n, "lcm")
 
 
 def smith_determinant(n: int) -> int:

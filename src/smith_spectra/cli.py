@@ -212,15 +212,18 @@ def cmd_bounds(config: RunConfig) -> int:
     def one_row(n: int | None) -> dict:
         # the improved methods apply to {1..n} only; explicit sets and the
         # real-exponent families get Wolkowicz-Styan from their traces
+        matrix = None
         if config.explicit_set is None and config.family == "gcd":
             report = gcd_bounds(n)
         elif config.explicit_set is None and config.family == "lcm":
             report = lcm_bounds(n)
         else:
-            report = ws_bounds(spectral_summary(build_matrix(config, n)), config.family)
+            matrix = build_matrix(config, n)
+            report = ws_bounds(spectral_summary(matrix), config.family)
         if config.with_actual:
-            spec = jacobi_eigenvalues(build_matrix(config, n), tol=config.tol)
-            report = report.with_actual(spec)
+            if matrix is None:
+                matrix = build_matrix(config, n)
+            report = report.with_actual(jacobi_eigenvalues(matrix, tol=config.tol))
         return {
             "n": report.n, "family": report.family, "method": report.method,
             "m": report.m, "s": report.s,
@@ -514,10 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         return COMMANDS[config.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except JacobiConvergenceError as exc:

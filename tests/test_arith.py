@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smith_spectra import arith
 from smith_spectra.arith import (
     ArithTable,
     coprime_square_sum,
@@ -261,10 +262,20 @@ def test_s_squared_lcm_hand_values():
     assert s_squared_lcm(2) == Fraction(17, 4)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 30])
-def test_s_squared_against_double_sum_oracle(n):
-    assert s_squared_gcd(n) == s_squared_oracle(n, gcd)
-    assert s_squared_lcm(n) == s_squared_oracle(n, lcm)
+# each case starts with no prefix table built: single orders, then an ascending
+# walk across the power-of-two sizes the shared table grows to, then a
+# descending walk that builds a large table first and reads small n from it
+EDGES = (2, 3, 4, 5, 63, 64, 65, 127, 128, 129)
+S_SQUARED_ORACLE_CASES = [(n,) for n in (2, 3, 4, 7, 12, 30)] + [EDGES, EDGES[::-1]]
+
+
+@pytest.mark.parametrize("ns", S_SQUARED_ORACLE_CASES,
+                         ids=["-".join(map(str, ns)) for ns in S_SQUARED_ORACLE_CASES])
+def test_s_squared_against_double_sum_oracle(ns, monkeypatch):
+    monkeypatch.setattr(arith, "_row_sum_prefix", {})
+    for n in ns:
+        assert s_squared_gcd(n) == s_squared_oracle(n, gcd)
+        assert s_squared_lcm(n) == s_squared_oracle(n, lcm)
 
 
 def test_s_squared_positive():

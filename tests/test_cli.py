@@ -80,6 +80,17 @@ class TestBoundsCommand:
             main(["bounds", "--family", "nope", "--n", "3"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "power-gcd", "--epsilon", "400", "--n", "10"],  # OverflowError
+        ["--family", "gcd", "--n", "5", "--out", "{tmp}/missing-dir/x.csv"],  # OSError
+    ], ids=["overflow", "unwritable-out"])
+    def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):
+        code = main(["bounds"] + [arg.format(tmp=tmp_path) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestSpectrumCommand:
     def test_exact_lcm_pair(self, capsys):
