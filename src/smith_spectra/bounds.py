@@ -201,7 +201,6 @@ def mh_interval(
     alpha: float,
     beta: float,
     tol: float = 1e-12,
-    backend: str | None = None,
 ) -> tuple[float, float]:
     """Mattila-Haukkanen interval containing every eigenvalue of the
     mixed-power matrix (gcd^alpha * lcm^beta) on {1..n}:
@@ -223,7 +222,7 @@ def mh_interval(
         )
     jt = arith.jordan_totient(n, k)
     max_j = max(abs(v) for v in jt.values[1:])
-    t_n = jacobi_eigenvalues(divisibility_gram(n), tol=tol, backend=backend).max
+    t_n = jacobi_eigenvalues(divisibility_gram(n), tol=tol).max
     hi = t_n * max(1.0, float(n) ** (2 * beta)) * max_j
     lo = 2.0 * min(1.0, float(n) ** (alpha + beta)) - hi
     return lo, hi
@@ -246,7 +245,7 @@ def hong_lee_bounds(s: IntegerSet, r: float, k: int) -> tuple[float, float]:
     return mean_bound, kth_bound
 
 
-def hong_cn(n: int, cap: int = 6, tol: float = 1e-12, backend: str | None = None) -> HongConstant:
+def hong_cn(n: int, cap: int = 6, tol: float = 1e-12) -> HongConstant:
     """Hong's constant c_n by exhaustion over all 2^(n(n-1)/2) unit
     lower-triangular 0/1 matrices Y, minimizing the smallest eigenvalue of
     Y Y^T. Exponential, hence capped (n = 6 already means 32768 solves).
@@ -266,7 +265,7 @@ def hong_cn(n: int, cap: int = 6, tol: float = 1e-12, backend: str | None = None
         for bit, (i, j) in zip(bits, positions):
             y[i, j] = bit
         z = y @ y.T
-        smallest = jacobi_eigenvalues(z, tol=tol, backend=backend).min
+        smallest = jacobi_eigenvalues(z, tol=tol).min
         if best is None or smallest < best:
             best = smallest
             witness = y

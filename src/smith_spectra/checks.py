@@ -51,14 +51,13 @@ def run_checks(
     n_max: int,
     exact_only: bool = False,
     tol: float = 1e-12,
-    backend: str | None = None,
 ) -> list[CheckResult]:
     """Run every suite up to n_max (per-check caps still apply)."""
     if n_max < 2:
         raise ValueError(f"verification needs n_max >= 2, got {n_max}")
     results = _exact_checks(n_max)
     if not exact_only:
-        results += _spectral_checks(n_max, tol, backend)
+        results += _spectral_checks(n_max, tol)
     return results
 
 
@@ -127,9 +126,8 @@ def _exact_checks(n_max: int) -> list[CheckResult]:
 # spectral checks
 
 
-def _spectral_checks(n_max: int, tol: float, backend: str | None) -> list[CheckResult]:
+def _spectral_checks(n_max: int, tol: float) -> list[CheckResult]:
     out: list[CheckResult] = []
-    solve = lambda m: jacobi_eigenvalues(m, tol=tol, backend=backend)
 
     # small-order gaps feeding the cross-term inequalities
     gap3 = None
@@ -139,7 +137,7 @@ def _spectral_checks(n_max: int, tol: float, backend: str | None) -> list[CheckR
     for n in range(2, n_max + 1):
         for family, build in (("gcd", gcd_matrix), ("lcm", lcm_matrix)):
             matrix = build(IntegerSet.first_n(n))
-            spec = solve(matrix)
+            spec = jacobi_eigenvalues(matrix, tol=tol)
             scale = float(np.max(np.abs(matrix.entries)))
 
             if family == "gcd":
@@ -168,8 +166,14 @@ def _spectral_checks(n_max: int, tol: float, backend: str | None) -> list[CheckR
             ok = spec.max - spec.min >= 2 * np.max(np.abs(off)) - slack
             out.append(CheckResult(f"spread_bound[{family}]", n, ok))
 
+            # closed forms and the improved bracket, once per (n, family)
+            closed = closed_form_summary(n, family)
+            improved = None
+            if n >= 3:
+                improved = gcd_bounds(n) if family == "gcd" else lcm_bounds(n)
+
             ws_traces = ws_bounds(spectral_summary(matrix), family)
-            ws_closed = ws_bounds(closed_form_summary(n, family), family)
+            ws_closed = ws_bounds(closed, family)
             out.append(CheckResult(
                 f"ws_consistency[{family}]", n, ws_traces == ws_closed,
                 "" if ws_traces == ws_closed else "pipelines disagree"))
@@ -202,21 +206,20 @@ def _spectral_checks(n_max: int, tol: float, backend: str | None) -> list[CheckR
                         "smith_determinant_eigenproduct", n, ok,
                         "" if ok else f"{det:.6e} vs {expected}"))
                 if n <= MH_CAP:
-                    lo, hi = mh_interval(n, 1, 0, tol=tol, backend=backend)
+                    lo, hi = mh_interval(n, 1, 0, tol=tol)
                     # closed interval; at n = 2 the gcd matrix IS the
                     # divisibility Gram matrix, so the upper endpoint is hit
                     ok = lo - slack <= spec.min and spec.max <= hi + slack
                     out.append(CheckResult("mh_contains_gcd_spectrum", n, ok))
-                    if n >= 3:
-                        rep = gcd_bounds(n)
-                        ok = lo < rep.lambda_min_lower and rep.lambda_max_upper < hi
+                    if improved is not None:
+                        ok = lo < improved.lambda_min_lower and improved.lambda_max_upper < hi
                         out.append(CheckResult("mh_dominates_gcd_bracket", n, ok))
 
-            if n == 2:
+            if improved is None:
                 out.append(CheckResult(
                     f"improved_{family}_bracket", n, True, "skipped: needs n >= 3"))
             else:
-                rep = (gcd_bounds(n) if family == "gcd" else lcm_bounds(n)).with_actual(spec)
+                rep = improved.with_actual(spec)
                 ok = rep.brackets_actual()
                 out.append(CheckResult(
                     f"improved_{family}_bracket", n, ok,
@@ -225,7 +228,7 @@ def _spectral_checks(n_max: int, tol: float, backend: str | None) -> list[CheckR
                     f"({rep.lambda_min_lower:.6g}, {rep.lambda_min_upper:.6g}) / "
                     f"({rep.lambda_max_lower:.6g}, {rep.lambda_max_upper:.6g})"))
 
-                s2 = closed_form_summary(n, family).s_squared
+                s2 = closed.s_squared
                 if family == "gcd":
                     gain = (n * s2 + 2 * (n - 1)) / Fraction(n * n - n) - s2 / (n - 1)
                     ok = gain == Fraction(2, n)

@@ -10,9 +10,11 @@ Subcommands:
 * ``reproduce-paper`` golden-number regression table
 * ``export-matrix``   raw matrix CSV
 
-Output is deterministic: identical arguments give byte-identical output
-(metadata headers carry the configuration, never a timestamp). Exit codes:
-0 success, 1 verification/convergence failure, 2 usage error.
+Each subcommand takes exactly the options its command function reads;
+any other option is an argparse usage error. Output is deterministic:
+identical arguments give byte-identical output (metadata headers carry the
+configuration, never a timestamp). Exit codes: 0 success,
+1 verification/convergence failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,20 +23,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from math import sqrt
 
-from smith_spectra import __version__, arith
-from smith_spectra.bounds import (
-    closed_form_summary,
-    gcd_bounds,
-    hong_cn,
-    lcm_bounds,
-    mh_interval,
-    ws_bounds,
-)
+from smith_spectra import __version__
+from smith_spectra.bounds import gcd_bounds, lcm_bounds, mh_interval, ws_bounds
 from smith_spectra.checks import failures, run_checks
 from smith_spectra.eig import (
+    DEFAULT_TOL,
     JacobiConvergenceError,
     default_backend,
     inertia,
@@ -69,64 +64,56 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Validated per-invocation settings shared by the subcommands."""
-
-    command: str
-    n_values: list[int]
-    family: str = "gcd"
-    explicit_set: IntegerSet | None = None
-    epsilon: float = 1.0
-    r: float = 1.0
-    alpha: float = 1.0
-    beta: float = 0.0
-    tol: float = 1e-12
-    zero_tol: float | None = None
-    with_actual: bool = False
-    fmt: str = "table"
-    out: str | None = None
-    exact_only: bool = False
-    allow_large: bool = False
-
-    def cap(self, default_cap: int) -> int:
-        env = os.environ.get(CAP_ENV_VAR)
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise UsageError(f"{CAP_ENV_VAR}={env!r} is not an integer") from None
-        return default_cap
-
-    def enforce_cap(self, needs_solve: bool) -> None:
-        limit = self.cap(SOLVE_CAP if needs_solve else BOUNDS_CAP)
-        top = max(self.n_values) if self.n_values else 0
-        if self.explicit_set is not None:
-            top = max(top, len(self.explicit_set))
-        if top <= limit:
-            return
-        if self.allow_large:
-            print(
-                f"warning: n={top} exceeds the default cap {limit}; "
-                f"proceeding (--allow-large)", file=sys.stderr)
-            return
-        raise UsageError(
-            f"n={top} exceeds the cap {limit}; pass --allow-large or set "
-            f"{CAP_ENV_VAR} to override")
+def enforce_cap(top: int, needs_solve: bool, allow_large: bool) -> None:
+    """Refuse an order above the cap (SMITH_SPECTRA_MAX_N, else the solve or
+    bounds default); --allow-large goes ahead with a warning instead."""
+    limit = SOLVE_CAP if needs_solve else BOUNDS_CAP
+    env = os.environ.get(CAP_ENV_VAR)
+    if env is not None:
+        try:
+            limit = int(env)
+        except ValueError:
+            raise UsageError(f"{CAP_ENV_VAR}={env!r} is not an integer") from None
+    if top <= limit:
+        return
+    if allow_large:
+        print(
+            f"warning: n={top} exceeds the default cap {limit}; "
+            f"proceeding (--allow-large)", file=sys.stderr)
+        return
+    raise UsageError(
+        f"n={top} exceeds the cap {limit}; pass --allow-large or set "
+        f"{CAP_ENV_VAR} to override")
 
 
 def parse_n_range(text: str) -> list[int]:
-    """'20' -> [20]; '3..10' -> [3..10] inclusive."""
+    """'20' -> [20]; '3..10' -> [3..10] inclusive; every n must be >= 1."""
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
             if lo > hi:
                 raise UsageError(f"empty range {text!r}")
-            return list(range(lo, hi + 1))
-        return [int(text)]
+            values = list(range(lo, hi + 1))
+        else:
+            values = [int(text)]
     except ValueError:
         raise UsageError(f"cannot parse n or n range from {text!r}") from None
+    if any(n < 1 for n in values):
+        raise UsageError("n must be >= 1")
+    return values
+
+
+def read_target(args: argparse.Namespace, needs_solve: bool) -> tuple[list[int], IntegerSet | None]:
+    """The --n orders and the parsed --set of a command that takes either,
+    checked against the cap (the larger of the top order and the set size)."""
+    explicit = IntegerSet.parse(args.explicit_set) if args.explicit_set else None
+    n_values = parse_n_range(args.n) if args.n else []
+    if not n_values and explicit is None:
+        raise UsageError(f"{args.command} needs --n or --set")
+    enforce_cap(max([*n_values, len(explicit) if explicit else 0]), needs_solve,
+                args.allow_large)
+    return n_values, explicit
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +130,10 @@ def format_value(value) -> str:
     return str(value)
 
 
-def emit(config: RunConfig, columns: list[str], rows: list[dict], meta: dict) -> None:
-    text = render(config.fmt, columns, rows, meta)
-    if config.out:
-        with open(config.out, "w") as handle:
+def emit(args: argparse.Namespace, columns: list[str], rows: list[dict], meta: dict) -> None:
+    text = render(args.fmt, columns, rows, meta)
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -175,55 +162,61 @@ def render(fmt: str, columns: list[str], rows: list[dict], meta: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def base_meta(config: RunConfig, **extra) -> dict:
-    meta = {"tool": "smith-spectra", "version": __version__, "command": config.command}
+def base_meta(args: argparse.Namespace, **extra) -> dict:
+    meta = {"tool": "smith-spectra", "version": __version__, "command": args.command}
     meta.update(extra)
     return meta
 
 
 # ---------------------------------------------------------------------------
-# matrix construction shared by spectrum/bounds/export
+# matrix construction shared by spectrum/bounds/inertia-sweep/export
 
 
-def build_matrix(config: RunConfig, n: int | None = None) -> SymMatrix:
-    s = config.explicit_set or IntegerSet.first_n(n)
-    if config.family == "gcd":
+def build_matrix(args: argparse.Namespace, explicit: IntegerSet | None,
+                 n: int | None) -> SymMatrix:
+    s = explicit or IntegerSet.first_n(n)
+    if args.family == "gcd":
         return gcd_matrix(s)
-    if config.family == "lcm":
+    if args.family == "lcm":
         return lcm_matrix(s)
-    if config.family == "power-gcd":
-        return power_gcd_matrix(s, config.epsilon)
-    if config.family == "recip-lcm":
-        return reciprocal_lcm_matrix(s, config.r)
-    if config.family == "mixed":
-        if config.explicit_set is not None:
-            raise UsageError("family 'mixed' is defined on {1..n}; use --n, not --set")
-        return mixed_power_matrix(n, config.alpha, config.beta)
-    raise UsageError(f"unknown family {config.family!r}")
+    if args.family == "power-gcd":
+        return power_gcd_matrix(s, args.epsilon)
+    if args.family == "recip-lcm":
+        return reciprocal_lcm_matrix(s, args.r)
+    # the one family left, mixed, is defined on {1..n} only
+    if explicit is not None:
+        raise UsageError("family 'mixed' is defined on {1..n}; use --n, not --set")
+    return mixed_power_matrix(n, args.alpha, args.beta)
+
+
+def _single_n(args: argparse.Namespace, n_values: list[int]) -> int | None:
+    if len(n_values) > 1:
+        raise UsageError(f"{args.command} takes a single --n, not a range")
+    return n_values[0] if n_values else None
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_bounds(config: RunConfig) -> int:
-    config.enforce_cap(needs_solve=config.with_actual)
+def cmd_bounds(args: argparse.Namespace) -> int:
+    n_values, explicit = read_target(args, needs_solve=args.with_actual)
 
     def one_row(n: int | None) -> dict:
         # the improved methods apply to {1..n} only; explicit sets and the
         # real-exponent families get Wolkowicz-Styan from their traces
         matrix = None
-        if config.explicit_set is None and config.family == "gcd":
+        if explicit is None and args.family == "gcd":
             report = gcd_bounds(n)
-        elif config.explicit_set is None and config.family == "lcm":
+        elif explicit is None and args.family == "lcm":
             report = lcm_bounds(n)
         else:
-            matrix = build_matrix(config, n)
-            report = ws_bounds(spectral_summary(matrix), config.family)
-        if config.with_actual:
+            matrix = build_matrix(args, explicit, n)
+            report = ws_bounds(spectral_summary(matrix), args.family)
+        if args.with_actual:
             if matrix is None:
-                matrix = build_matrix(config, n)
-            report = report.with_actual(jacobi_eigenvalues(matrix, tol=config.tol))
+                matrix = build_matrix(args, explicit, n)
+            report = report.with_actual(jacobi_eigenvalues(matrix, tol=args.tol))
         return {
             "n": report.n, "family": report.family, "method": report.method,
             "m": report.m, "s": report.s,
@@ -233,29 +226,20 @@ def cmd_bounds(config: RunConfig) -> int:
             "flag": report.flag,
         }
 
-    if config.explicit_set is not None:
-        rows = [one_row(None)]
-    else:
-        rows = [one_row(n) for n in config.n_values]
-    meta = base_meta(config, family=config.family, with_actual=config.with_actual)
-    emit(config, BOUNDS_COLUMNS, rows, meta)
+    rows = [one_row(None)] if explicit is not None else [one_row(n) for n in n_values]
+    meta = base_meta(args, family=args.family, with_actual=args.with_actual)
+    emit(args, BOUNDS_COLUMNS, rows, meta)
     return 0
 
 
-def _single_n(config: RunConfig) -> int | None:
-    if len(config.n_values) > 1:
-        raise UsageError(f"{config.command} takes a single --n, not a range")
-    return config.n_values[0] if config.n_values else None
-
-
-def cmd_spectrum(config: RunConfig) -> int:
-    config.enforce_cap(needs_solve=True)
-    matrix = build_matrix(config, _single_n(config))
-    spec = jacobi_eigenvalues(matrix, tol=config.tol)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    n_values, explicit = read_target(args, needs_solve=True)
+    matrix = build_matrix(args, explicit, _single_n(args, n_values))
+    spec = jacobi_eigenvalues(matrix, tol=args.tol)
     summary = spectral_summary(matrix)
     rows = [{"index": i + 1, "eigenvalue": v} for i, v in enumerate(spec.eigenvalues)]
     meta = base_meta(
-        config,
+        args,
         family=matrix.label(),
         set=",".join(str(x) for x in matrix.source_set.elements),
         n=matrix.order,
@@ -266,16 +250,19 @@ def cmd_spectrum(config: RunConfig) -> int:
         sweeps=spec.sweeps,
         backend=default_backend(),
     )
-    emit(config, ["index", "eigenvalue"], rows, meta)
+    emit(args, ["index", "eigenvalue"], rows, meta)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    n_max = max(config.n_values)
-    config.enforce_cap(needs_solve=not config.exact_only)
-    results = run_checks(n_max, exact_only=config.exact_only, tol=config.tol)
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.n_max < 2:
+        raise UsageError(f"--n-max must be >= 2, got {args.n_max}")
+    enforce_cap(args.n_max, not args.exact_only, args.allow_large)
+    results = run_checks(args.n_max, exact_only=args.exact_only, tol=args.tol)
     bad = failures(results)
-    if config.fmt == "table":
+    meta = base_meta(args, n_max=args.n_max, exact_only=args.exact_only,
+                     checks=len(results), failures=len(bad))
+    if args.fmt == "table":
         # aggregate per check, then list each failure
         order: list[str] = []
         totals: dict[str, list[int]] = {}
@@ -293,44 +280,40 @@ def cmd_verify(config: RunConfig) -> int:
         for f in bad:
             rows.append({"check": f"FAILED {f.check}", "passed": f.n,
                          "failed": f.observed, "status": False})
-        meta = base_meta(config, n_max=n_max, exact_only=config.exact_only,
-                         checks=len(results), failures=len(bad))
-        emit(config, ["check", "passed", "failed", "status"], rows, meta)
+        emit(args, ["check", "passed", "failed", "status"], rows, meta)
     else:
         rows = [
             {"check": r.check, "n": r.n, "ok": r.ok, "observed": r.observed}
             for r in results
         ]
-        meta = base_meta(config, n_max=n_max, exact_only=config.exact_only,
-                         checks=len(results), failures=len(bad))
-        emit(config, ["check", "n", "ok", "observed"], rows, meta)
+        emit(args, ["check", "n", "ok", "observed"], rows, meta)
     return 1 if bad else 0
 
 
-def cmd_inertia_sweep(config: RunConfig) -> int:
-    config.enforce_cap(needs_solve=True)
+def cmd_inertia_sweep(args: argparse.Namespace) -> int:
+    n_values = parse_n_range(args.n)
+    enforce_cap(max(n_values), True, args.allow_large)
     rows = []
-    for n in config.n_values:
-        spec = jacobi_eigenvalues(build_matrix(config, n), tol=config.tol)
-        result = inertia(spec, zero_tol=config.zero_tol)
+    for n in n_values:
+        spec = jacobi_eigenvalues(build_matrix(args, None, n), tol=args.tol)
+        result = inertia(spec, zero_tol=args.zero_tol)
         rows.append({
-            "n": n, "family": config.family,
+            "n": n, "family": args.family,
             "positive": result.positive, "negative": result.negative,
             "zero": result.zero, "pos_minus_neg": result.positive - result.negative,
         })
-    meta = base_meta(config, family=config.family)
-    emit(config, ["n", "family", "positive", "negative", "zero", "pos_minus_neg"], rows, meta)
+    meta = base_meta(args, family=args.family)
+    emit(args, ["n", "family", "positive", "negative", "zero", "pos_minus_neg"], rows, meta)
     return 0
 
 
-def cmd_compare(config: RunConfig) -> int:
-    if config.family != "gcd":
-        raise UsageError("compare is defined for --family gcd")
-    config.enforce_cap(needs_solve=True)
+def cmd_compare(args: argparse.Namespace) -> int:
+    n_values = parse_n_range(args.n)
+    enforce_cap(max(n_values), True, args.allow_large)
     rows = []
-    for n in config.n_values:
-        lo, hi = mh_interval(n, 1, 0, tol=config.tol)
-        spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(n)), tol=config.tol)
+    for n in n_values:
+        lo, hi = mh_interval(n, 1, 0, tol=args.tol)
+        spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(n)), tol=args.tol)
         row = {
             "n": n, "mh_lower": lo, "mh_upper": hi,
             "actual_min": spec.min, "actual_max": spec.max,
@@ -348,11 +331,11 @@ def cmd_compare(config: RunConfig) -> int:
     columns = ["n", "mh_lower", "mh_upper", "min_lower", "min_upper", "max_lower",
                "max_upper", "actual_min", "actual_max", "mh_width_ratio",
                "bracket_width_ratio"]
-    emit(config, columns, rows, base_meta(config))
+    emit(args, columns, rows, base_meta(args))
     return 0
 
 
-def cmd_reproduce_paper(config: RunConfig) -> int:
+def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     """Recompute the published reference values and compare at fixed tolerances."""
     rows = []
 
@@ -368,33 +351,33 @@ def cmd_reproduce_paper(config: RunConfig) -> int:
     check("gcd20_max_lower", rep.lambda_max_lower, 13.1876, 5e-4)
     check("gcd20_max_upper", rep.lambda_max_upper, 61.2114, 5e-4)
 
-    spec3 = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(3)), tol=config.tol)
+    spec3 = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(3)), tol=args.tol)
     check("gcd3_lambda1", spec3.eigenvalues[0], 0.324, 5e-3)
     check("gcd3_lambda2", spec3.eigenvalues[1], 1.460, 5e-3)
 
-    spec4 = jacobi_eigenvalues(lcm_matrix(IntegerSet.first_n(4)), tol=config.tol)
+    spec4 = jacobi_eigenvalues(lcm_matrix(IntegerSet.first_n(4)), tol=args.tol)
     check("lcm4_mu1", spec4.eigenvalues[0], -8.843, 5e-3)
     check("lcm4_mu3", spec4.eigenvalues[2], -0.312, 5e-3)
 
-    spec2 = jacobi_eigenvalues(lcm_matrix(IntegerSet.of(1, 2)), tol=config.tol)
+    spec2 = jacobi_eigenvalues(lcm_matrix(IntegerSet.of(1, 2)), tol=args.tol)
     check("lcm2_mu1_exact", spec2.eigenvalues[0], (3 - sqrt(17)) / 2, 1e-10)
     check("lcm2_mu2_exact", spec2.eigenvalues[1], (3 + sqrt(17)) / 2, 1e-10)
 
-    lo, hi = mh_interval(20, 1, 0, tol=config.tol)
+    lo, hi = mh_interval(20, 1, 0, tol=args.tol)
     check("mh20_lower", lo, -595.8214, 1e-3)
     check("mh20_upper", hi, 597.8214, 1e-3)
 
     bad = [row for row in rows if not row["status"]]
-    meta = base_meta(config, checks=len(rows), failures=len(bad))
-    emit(config, ["check", "expected", "actual", "abs_tol", "status"], rows, meta)
+    meta = base_meta(args, checks=len(rows), failures=len(bad))
+    emit(args, ["check", "expected", "actual", "abs_tol", "status"], rows, meta)
     return 1 if bad else 0
 
 
-def cmd_export_matrix(config: RunConfig) -> int:
-    config.enforce_cap(needs_solve=False)
-    matrix = build_matrix(config, _single_n(config))
-    if config.out:
-        with open(config.out, "w") as handle:
+def cmd_export_matrix(args: argparse.Namespace) -> int:
+    n_values, explicit = read_target(args, needs_solve=False)
+    matrix = build_matrix(args, explicit, _single_n(args, n_values))
+    if args.out:
+        with open(args.out, "w") as handle:
             matrix_to_csv(matrix, handle)
     else:
         matrix_to_csv(matrix, sys.stdout)
@@ -404,6 +387,52 @@ def cmd_export_matrix(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# Every option with its one default. Each subcommand adds the options its
+# command function reads, in the order its SUBCOMMANDS entry lists them.
+OPTIONS: dict[str, dict] = {
+    "--family": dict(choices=FAMILIES, default="gcd"),
+    "--n": dict(help="single n or inclusive range lo..hi"),
+    "--set": dict(dest="explicit_set", metavar="A,B,C",
+                  help="explicit strictly increasing integer set"),
+    "--epsilon": dict(type=float, default=1.0, help="power-gcd exponent"),
+    "--r": dict(type=float, default=1.0, help="recip-lcm exponent"),
+    "--alpha": dict(type=float, default=1.0, help="mixed gcd exponent"),
+    "--beta": dict(type=float, default=0.0, help="mixed lcm exponent"),
+    "--tol": dict(type=float, default=DEFAULT_TOL, help="solver tolerance"),
+    "--zero-tol": dict(type=float,
+                       help="inertia zero threshold (default 1e-9 * Frobenius norm)"),
+    "--format": dict(dest="fmt", choices=("table", "csv", "json"), default="table"),
+    "--out": dict(help="write output to this path"),
+    "--allow-large": dict(action="store_true", help="exceed the default n caps (warns)"),
+    "--with-actual": dict(action="store_true",
+                          help="also solve and report the actual extremes"),
+    "--n-max": dict(type=int, default=50),
+    "--exact-only": dict(action="store_true", help="only the exact arithmetic identities"),
+}
+
+_MATRIX = ("--family", "--n", "--set", "--epsilon", "--r", "--alpha", "--beta")
+_N_REQUIRED = {"--n": dict(required=True)}
+
+# name: (command function, help, options, overrides of OPTIONS)
+SUBCOMMANDS = {
+    "bounds": (cmd_bounds, "eigenvalue bound rows",
+               (*_MATRIX, "--tol", "--format", "--out", "--allow-large", "--with-actual"), {}),
+    "spectrum": (cmd_spectrum, "sorted eigenvalues plus summary",
+                 (*_MATRIX, "--tol", "--format", "--out", "--allow-large"), {}),
+    "verify": (cmd_verify, "run the invariant suites",
+               ("--tol", "--format", "--out", "--allow-large", "--n-max", "--exact-only"), {}),
+    "inertia-sweep": (cmd_inertia_sweep, "eigenvalue sign counts per n",
+                      ("--family", "--n", "--epsilon", "--r", "--alpha", "--beta", "--tol",
+                       "--zero-tol", "--format", "--out", "--allow-large"),
+                      {"--family": dict(default="lcm"), **_N_REQUIRED}),
+    "compare": (cmd_compare, "interval comparison for the gcd family",
+                ("--n", "--tol", "--format", "--out", "--allow-large"), _N_REQUIRED),
+    "reproduce-paper": (cmd_reproduce_paper, "golden-number regression table",
+                        ("--tol", "--format", "--out"), {}),
+    "export-matrix": (cmd_export_matrix, "write the matrix as CSV",
+                      (*_MATRIX, "--out", "--allow-large"), {}),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -412,111 +441,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, family_default: str | None = "gcd"):
-        if family_default is not None:
-            p.add_argument("--family", choices=FAMILIES, default=family_default)
-        p.add_argument("--n", help="single n or inclusive range lo..hi")
-        p.add_argument("--set", dest="explicit_set", metavar="A,B,C",
-                       help="explicit strictly increasing integer set")
-        p.add_argument("--epsilon", type=float, default=1.0, help="power-gcd exponent")
-        p.add_argument("--r", type=float, default=1.0, help="recip-lcm exponent")
-        p.add_argument("--alpha", type=float, default=1.0, help="mixed gcd exponent")
-        p.add_argument("--beta", type=float, default=0.0, help="mixed lcm exponent")
-        p.add_argument("--tol", type=float, default=1e-12, help="solver tolerance")
-        p.add_argument("--zero-tol", type=float, default=None,
-                       help="inertia zero threshold (default 1e-9 * Frobenius norm)")
-        p.add_argument("--format", dest="fmt", choices=("table", "csv", "json"),
-                       default="table")
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--allow-large", action="store_true",
-                       help="exceed the default n caps (warns)")
-
-    p_bounds = sub.add_parser("bounds", help="eigenvalue bound rows")
-    common(p_bounds)
-    p_bounds.add_argument("--with-actual", action="store_true",
-                          help="also solve and report the actual extremes")
-
-    p_spectrum = sub.add_parser("spectrum", help="sorted eigenvalues plus summary")
-    common(p_spectrum)
-
-    p_verify = sub.add_parser("verify", help="run the invariant suites")
-    common(p_verify, family_default=None)
-    p_verify.add_argument("--n-max", type=int, default=50)
-    p_verify.add_argument("--exact-only", action="store_true",
-                          help="only the exact arithmetic identities")
-
-    p_inertia = sub.add_parser("inertia-sweep", help="eigenvalue sign counts per n")
-    common(p_inertia, family_default="lcm")
-    p_inertia.add_argument("--n-max", type=int, default=None)
-
-    p_compare = sub.add_parser("compare", help="interval comparison for the gcd family")
-    common(p_compare)
-
-    p_repro = sub.add_parser("reproduce-paper", help="golden-number regression table")
-    common(p_repro)
-
-    p_export = sub.add_parser("export-matrix", help="write the matrix as CSV")
-    common(p_export)
-
+    for name, (_, help_text, options, overrides) in SUBCOMMANDS.items():
+        # no prefix matching, so an option a subcommand lacks (verify --n)
+        # is never taken for one it has (--n-max)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for option in options:
+            p.add_argument(option, **{**OPTIONS[option], **overrides.get(option, {})})
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    explicit = None
-    if getattr(args, "explicit_set", None):
-        explicit = IntegerSet.parse(args.explicit_set)
-
-    n_values: list[int] = []
-    if getattr(args, "n", None):
-        n_values = parse_n_range(args.n)
-    elif getattr(args, "n_max", None):
-        if args.n_max < 2:
-            raise UsageError(f"--n-max must be >= 2, got {args.n_max}")
-        n_values = list(range(2, args.n_max + 1))
-
-    command = args.command
-    if not n_values and explicit is None and command != "reproduce-paper":
-        raise UsageError(f"{command} needs --n or --set")
-    if any(n < 1 for n in n_values):
-        raise UsageError("n must be >= 1")
-
-    return RunConfig(
-        command=command,
-        n_values=n_values,
-        family=getattr(args, "family", "gcd") or "gcd",
-        explicit_set=explicit,
-        epsilon=args.epsilon,
-        r=args.r,
-        alpha=args.alpha,
-        beta=args.beta,
-        tol=args.tol,
-        zero_tol=args.zero_tol,
-        with_actual=getattr(args, "with_actual", False),
-        fmt=args.fmt,
-        out=args.out,
-        exact_only=getattr(args, "exact_only", False),
-        allow_large=args.allow_large,
-    )
-
-
-COMMANDS = {
-    "bounds": cmd_bounds,
-    "spectrum": cmd_spectrum,
-    "verify": cmd_verify,
-    "inertia-sweep": cmd_inertia_sweep,
-    "compare": cmd_compare,
-    "reproduce-paper": cmd_reproduce_paper,
-    "export-matrix": cmd_export_matrix,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return COMMANDS[config.command](config)
+        return SUBCOMMANDS[args.command][0](args)
     except (ValueError, OverflowError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
-from smith_spectra.matrices import SymMatrix
+from smith_spectra.matrices import SymMatrix, _frobenius_norm
 from smith_spectra import _jacobi_py
 
 try:
@@ -110,13 +110,21 @@ class Inertia:
     zero_tolerance: float
 
 
-def _as_array(a: SymMatrix | np.ndarray) -> np.ndarray:
+def _as_array(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, float]:
+    """A private C-ordered float64 copy of the matrix, and its Frobenius norm."""
     entries = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=np.float64)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    if not np.array_equal(entries, entries.T):
+    work = np.array(entries, dtype=np.float64, order="C", copy=True)
+    fro = _frobenius_norm(work)
+    # only a raw array can fail this: a SymMatrix is checked when it is built
+    if not isfinite(fro):
+        raise ValueError(
+            "matrix is out of float range: an entry or the sum of the squared "
+            "entries is not finite")
+    if not np.array_equal(work, work.T):
         raise ValueError("matrix is not symmetric")
-    return np.array(entries, dtype=np.float64, order="C", copy=True)
+    return work, fro
 
 
 def jacobi_eigenvalues(
@@ -131,14 +139,13 @@ def jacobi_eigenvalues(
     ``tol * ||A||_F``; raises :class:`JacobiConvergenceError` if the sweep
     cap is reached first.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
-    work = _as_array(a)
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
+    work, fro = _as_array(a)
     kernels = available_backends()
     name = backend or _DEFAULT
     if name not in kernels:
         raise ValueError(f"unknown backend {name!r}; built: {sorted(kernels)}")
-    fro = float(np.sqrt(np.sum(work * work)))
     sweeps, off = kernels[name].cyclic_jacobi(work, tol, max_sweeps)
     if off > tol * fro:
         raise JacobiConvergenceError(sweeps, off, tol * fro)
@@ -167,8 +174,8 @@ def inertia(spectrum: Spectrum, zero_tol: float | None = None) -> Inertia:
     """
     if zero_tol is None:
         zero_tol = 1e-9 * sqrt(sum(v * v for v in spectrum.eigenvalues))
-    if zero_tol < 0:
-        raise ValueError(f"zero tolerance must be >= 0, got {zero_tol}")
+    if not (isfinite(zero_tol) and zero_tol >= 0):
+        raise ValueError(f"zero tolerance must be finite and >= 0, got {zero_tol}")
     pos = sum(1 for v in spectrum.eigenvalues if v > zero_tol)
     neg = sum(1 for v in spectrum.eigenvalues if v < -zero_tol)
     return Inertia(pos, neg, spectrum.n - pos - neg, zero_tol)

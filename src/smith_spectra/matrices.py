@@ -13,7 +13,7 @@ read-only and the eigensolver works on a private copy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd, inf, isfinite, lcm
 from typing import TextIO
 
 import numpy as np
@@ -61,6 +61,14 @@ class IntegerSet:
         return self.elements[-1]
 
 
+def _frobenius_norm(entries: np.ndarray) -> float:
+    """||A||_F, without a numpy warning when it is not finite: inf or nan
+    when an entry or the sum of the squared entries is. The trace
+    statistics and the solver need it finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sqrt(np.sum(entries * entries)))
+
+
 @dataclass(frozen=True)
 class SymMatrix:
     """Dense real symmetric matrix with provenance.
@@ -80,6 +88,10 @@ class SymMatrix:
         e = self.entries
         if e.shape != (self.order, self.order):
             raise ValueError(f"entry array shape {e.shape} != order {self.order}")
+        if not isfinite(_frobenius_norm(e)):
+            raise ValueError(
+                f"{self.label()} is out of float range: an entry or the sum of "
+                f"the squared entries is not finite")
         if not np.array_equal(e, e.T):
             raise ValueError("matrix entries are not symmetric")
         e.setflags(write=False)
@@ -104,6 +116,15 @@ def _from_exact(rows: list[list[int]], family: str, s: IntegerSet) -> SymMatrix:
     )
 
 
+def _power(base: int, exponent: float) -> float:
+    """float(base) ** exponent, inf where that overflows; SymMatrix then
+    rejects the matrix with its family and exponents in the message."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return inf
+
+
 def gcd_matrix(s: IntegerSet) -> SymMatrix:
     """Matrix with entry gcd(x_i, x_j); positive definite for any set."""
     xs = s.elements
@@ -121,7 +142,7 @@ def lcm_matrix(s: IntegerSet) -> SymMatrix:
 def power_gcd_matrix(s: IntegerSet, epsilon: float) -> SymMatrix:
     """Matrix with entry gcd(x_i, x_j)^epsilon for any real epsilon."""
     xs = s.elements
-    a = np.array([[float(gcd(p, q)) ** epsilon for q in xs] for p in xs])
+    a = np.array([[_power(gcd(p, q), epsilon) for q in xs] for p in xs])
     return SymMatrix(len(xs), a, "power_gcd", s, params={"epsilon": epsilon})
 
 
@@ -139,7 +160,7 @@ def mixed_power_matrix(n: int, alpha: float, beta: float) -> SymMatrix:
     s = IntegerSet.first_n(n)
     xs = s.elements
     a = np.array(
-        [[float(gcd(p, q)) ** alpha * float(lcm(p, q)) ** beta for q in xs] for p in xs]
+        [[_power(gcd(p, q), alpha) * _power(lcm(p, q), beta) for q in xs] for p in xs]
     )
     return SymMatrix(n, a, "mixed", s, params={"alpha": alpha, "beta": beta})
 

@@ -80,15 +80,23 @@ class TestBoundsCommand:
             main(["bounds", "--family", "nope", "--n", "3"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["--family", "power-gcd", "--epsilon", "400", "--n", "10"],  # OverflowError
-        ["--family", "gcd", "--n", "5", "--out", "{tmp}/missing-dir/x.csv"],  # OSError
-    ], ids=["overflow", "unwritable-out"])
-    def test_bad_input_is_usage_error(self, capsys, tmp_path, argv):
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the case
+    @pytest.mark.parametrize("argv, message", [
+        # an entry overflows a float
+        (["--family", "power-gcd", "--epsilon", "400", "--n", "10"], "power_gcd(epsilon=400)"),
+        # OSError
+        (["--family", "gcd", "--n", "5", "--out", "{tmp}/missing-dir/x.csv"], "missing-dir"),
+        # finite entries whose squares overflow the trace statistics
+        (["--family", "mixed", "--alpha", "200", "--beta", "150", "--n", "3"],
+         "mixed(alpha=200,beta=150)"),
+    ], ids=["overflow", "unwritable-out", "mixed-overflow"])
+    def test_bad_input_is_usage_error(self, capsys, tmp_path, argv, message):
         code = main(["bounds"] + [arg.format(tmp=tmp_path) for arg in argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
         assert captured.out == ""
 
 
@@ -201,9 +209,11 @@ class TestCompareCommand:
             assert row["mh_lower"] < row["min_lower"]
             assert row["max_upper"] < row["mh_upper"]
 
-    def test_rejects_other_families(self, capsys):
-        code, _ = run_cli(capsys, "compare", "--family", "lcm", "--n", "4")
-        assert code == 2
+    def test_rejects_other_families(self):
+        # compare is defined for the gcd family only, so it has no --family
+        with pytest.raises(SystemExit) as err:
+            main(["compare", "--family", "lcm", "--n", "4"])
+        assert err.value.code == 2
 
 
 class TestReproducePaper:
@@ -283,6 +293,29 @@ class TestCaps:
         monkeypatch.setenv("SMITH_SPECTRA_MAX_N", "10")
         code, _ = run_cli(capsys, "bounds", "--family", "gcd", "--n", "20")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "inertia-sweep --set 1,2,6",
+    "inertia-sweep --n 3 --set 1,2,6",
+    "inertia-sweep --n 2..5 --n-max 8",
+    "verify --set 1,2",
+    "verify --n 70..80",
+    "bounds --n 4 --zero-tol 1",
+    "spectrum --n 3 --zero-tol 1",
+    "compare --n 5 --epsilon 2",
+    "reproduce-paper --n 5",
+    "export-matrix --n 3 --format json",
+])
+def test_option_the_subcommand_does_not_read_is_usage_error(capsys, argv):
+    # each subcommand takes only the options its command reads; any other
+    # option is an argparse usage error, never silently ignored
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
 
 
 def test_console_script_installed():

@@ -83,9 +83,18 @@ class TestSolverContract:
         with pytest.raises(ValueError):
             jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]), backend=backend)
 
+    def test_rejects_non_finite_entries(self, backend):
+        # caught before the symmetry test and before a sweep-0 "convergence"
+        for bad in (float("nan"), float("inf"), 1e200):
+            a = np.eye(3)
+            a[1, 1] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                jacobi_eigenvalues(a, backend=backend)
+
     def test_rejects_bad_tolerance(self, backend):
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.eye(3), tol=0.0, backend=backend)
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                jacobi_eigenvalues(np.eye(3), tol=tol, backend=backend)
 
     def test_nonconvergence_reports_residual(self, backend):
         a = rng_symmetric(30, 3)
@@ -209,5 +218,6 @@ class TestInertia:
         spec = Spectrum((-0.5, 0.001, 2.0), 1e-12, 1, 0.0)
         result = inertia(spec, zero_tol=0.01)
         assert (result.positive, result.negative, result.zero) == (1, 1, 1)
-        with pytest.raises(ValueError):
-            inertia(spec, zero_tol=-1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                inertia(spec, zero_tol=bad)
