@@ -42,6 +42,7 @@ from smith_spectra.eig import (
     default_backend,
     inertia,
     jacobi_eigenvalues,
+    jacobi_eigenvalues_stack,
     spectral_summary,
 )
 from smith_spectra.bounds import (

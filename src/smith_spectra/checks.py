@@ -23,7 +23,7 @@ from smith_spectra.bounds import (
     mh_interval,
     ws_bounds,
 )
-from smith_spectra.eig import Spectrum, jacobi_eigenvalues, spectral_summary
+from smith_spectra.eig import DEFAULT_TOL, Spectrum, jacobi_eigenvalues, spectral_summary
 from smith_spectra.matrices import IntegerSet, gcd_matrix, lcm_matrix
 
 INTERLACING_CAP = 60
@@ -50,7 +50,7 @@ def failures(results: list[CheckResult]) -> list[CheckResult]:
 def run_checks(
     n_max: int,
     exact_only: bool = False,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> list[CheckResult]:
     """Run every suite up to n_max (per-check caps still apply)."""
     if n_max < 2:

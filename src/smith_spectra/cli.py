@@ -88,25 +88,24 @@ def enforce_cap(top: int, needs_solve: bool, allow_large: bool) -> None:
 
 def parse_n_range(text: str) -> list[int]:
     """'20' -> [20]; '3..10' -> [3..10] inclusive; every n must be >= 1."""
+    lo_text, _, hi_text = text.partition("..")
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if lo > hi:
-                raise UsageError(f"empty range {text!r}")
-            values = list(range(lo, hi + 1))
-        else:
-            values = [int(text)]
+        lo = int(lo_text)
+        hi = int(hi_text) if ".." in text else lo
     except ValueError:
         raise UsageError(f"cannot parse n or n range from {text!r}") from None
-    if any(n < 1 for n in values):
+    if lo > hi:
+        raise UsageError(f"empty range {text!r}")
+    if lo < 1:
         raise UsageError("n must be >= 1")
-    return values
+    return list(range(lo, hi + 1))
 
 
 def read_target(args: argparse.Namespace, needs_solve: bool) -> tuple[list[int], IntegerSet | None]:
-    """The --n orders and the parsed --set of a command that takes either,
-    checked against the cap (the larger of the top order and the set size)."""
+    """The --n orders or the parsed --set of a command that takes either
+    (not both), checked against the cap (the top order or the set size)."""
+    if args.n and args.explicit_set:
+        raise UsageError(f"{args.command} takes --n or --set, not both")
     explicit = IntegerSet.parse(args.explicit_set) if args.explicit_set else None
     n_values = parse_n_range(args.n) if args.n else []
     if not n_values and explicit is None:

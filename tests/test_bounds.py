@@ -268,6 +268,36 @@ class TestHongConstant:
     def test_rejects_out_of_cap(self):
         with pytest.raises(ValueError):
             hong_cn(7)
+
+    def test_c6_and_witness_pinned(self):
+        const = hong_cn(6)
+        assert const.c_n == 0.014827585246472349
+        assert const.witness == (
+            (1, 0, 0, 0, 0, 0),
+            (1, 1, 0, 0, 0, 0),
+            (0, 1, 1, 0, 0, 0),
+            (1, 0, 1, 1, 0, 0),
+            (0, 1, 0, 1, 1, 0),
+            (1, 0, 1, 0, 1, 1),
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_per_matrix_solves(self, n):
+        # reference: one jacobi_eigenvalues call per Y, in itertools.product
+        # order over the below-diagonal positions, first minimum kept
+        from itertools import product
+
+        positions = [(i, j) for i in range(1, n) for j in range(i)]
+        best = witness = None
+        for bits in product((0, 1), repeat=len(positions)):
+            y = np.eye(n)
+            for bit, (i, j) in zip(bits, positions):
+                y[i, j] = bit
+            smallest = jacobi_eigenvalues(y @ y.T, backend="python").min
+            if best is None or smallest < best:
+                best, witness = smallest, tuple(tuple(int(v) for v in row) for row in y)
+        const = hong_cn(n)
+        assert (const.c_n, const.witness) == (best, witness)
         with pytest.raises(ValueError):
             hong_cn(1)
 

@@ -89,7 +89,9 @@ class TestBoundsCommand:
         # finite entries whose squares overflow the trace statistics
         (["--family", "mixed", "--alpha", "200", "--beta", "150", "--n", "3"],
          "mixed(alpha=200,beta=150)"),
-    ], ids=["overflow", "unwritable-out", "mixed-overflow"])
+        # a range whose top is below its bottom
+        (["--family", "gcd", "--n", "5..3"], "error: empty range '5..3'"),
+    ], ids=["overflow", "unwritable-out", "mixed-overflow", "empty-range"])
     def test_bad_input_is_usage_error(self, capsys, tmp_path, argv, message):
         code = main(["bounds"] + [arg.format(tmp=tmp_path) for arg in argv])
         captured = capsys.readouterr()
@@ -97,6 +99,19 @@ class TestBoundsCommand:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--set", "1,2", "--n", "3000"],  # was refused by the cap for --n
+        ["bounds", "--set", "1,2", "--n", "5"],  # silently dropped the 5
+        ["spectrum", "--set", "1,2", "--n", "2"],
+        ["export-matrix", "--set", "1,2", "--n", "3"],
+    ], ids=["bounds-over-cap", "bounds", "spectrum", "export-matrix"])
+    def test_set_together_with_n_is_usage_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {argv[0]} takes --n or --set, not both\n"
         assert captured.out == ""
 
 

@@ -1,12 +1,16 @@
 """Solver tests: exact 2x2 spectra, an independent LAPACK oracle
-(numpy.linalg.eigvalsh) for larger matrices, and the structural spectrum
-properties (trace consistency, interlacing, inertia, determinant)."""
+(numpy.linalg.eigvalsh) for larger matrices, the structural spectrum
+properties (trace consistency, interlacing, inertia, determinant), and the
+stack kernel against the per-matrix numpy kernel, bit for bit."""
 
 from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smith_spectra import _jacobi_py
 from smith_spectra.arith import smith_determinant
 from smith_spectra.eig import (
     Inertia,
@@ -15,13 +19,14 @@ from smith_spectra.eig import (
     available_backends,
     inertia,
     jacobi_eigenvalues,
+    jacobi_eigenvalues_stack,
     spectral_summary,
 )
 from smith_spectra.matrices import IntegerSet, gcd_matrix, lcm_matrix
 
 BACKENDS = list(available_backends())
 
-pytestmark = pytest.mark.parametrize("backend", BACKENDS)
+by_backend = pytest.mark.parametrize("backend", BACKENDS)
 
 
 def rng_symmetric(n: int, seed: int) -> np.ndarray:
@@ -30,6 +35,7 @@ def rng_symmetric(n: int, seed: int) -> np.ndarray:
     return (a + a.T) / 2
 
 
+@by_backend
 class TestExactSpectra:
     def test_gcd_s2_quadratic_roots(self, backend):
         spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.of(1, 2)), backend=backend)
@@ -60,6 +66,7 @@ class TestExactSpectra:
         assert spec.eigenvalues == (0.0, 0.0, 0.0, 0.0)
 
 
+@by_backend
 class TestAgainstLapackOracle:
     @pytest.mark.parametrize("n", [5, 20, 57])
     def test_gcd_and_lcm_matrices(self, backend, n):
@@ -78,6 +85,7 @@ class TestAgainstLapackOracle:
         assert np.max(np.abs(ours - lapack)) < 1e-10 * max(1.0, np.max(np.abs(lapack)))
 
 
+@by_backend
 class TestSolverContract:
     def test_rejects_asymmetric(self, backend):
         with pytest.raises(ValueError):
@@ -119,6 +127,7 @@ class TestSolverContract:
             ) < scale * np.max(np.abs(m.entries))
 
 
+@by_backend
 class TestSpectrumProperties:
     @pytest.mark.parametrize("n", list(range(2, 61, 7)) + [60])
     def test_cauchy_interlacing(self, backend, n):
@@ -165,6 +174,7 @@ class TestSpectrumProperties:
             assert det == pytest.approx(expected, rel=1e-6)
 
 
+@by_backend
 class TestSpectralSummary:
     def test_gcd_s2_exact(self, backend):
         summary = spectral_summary(gcd_matrix(IntegerSet.of(1, 2)))
@@ -198,6 +208,7 @@ class TestSpectralSummary:
         assert summary.s_squared == pytest.approx(3.0)
 
 
+@by_backend
 class TestInertia:
     def test_lcm_s2_split(self, backend):
         spec = jacobi_eigenvalues(lcm_matrix(IntegerSet.of(1, 2)), backend=backend)
@@ -221,3 +232,76 @@ class TestInertia:
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 inertia(spec, zero_tol=bad)
+
+
+@st.composite
+def integer_stacks(draw) -> np.ndarray:
+    """A (B, n, n) stack of symmetric integer matrices of order 1-7, with
+    exact zeros among the entries and some slices already diagonal."""
+    n = draw(st.integers(1, 7))
+    count = draw(st.integers(1, 6))
+    stack = np.zeros((count, n, n))
+    for k in range(count):
+        entries = draw(st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n))
+        a = np.array(entries, dtype=np.float64).reshape(n, n)
+        a = np.tril(a) + np.tril(a, -1).T
+        if draw(st.booleans()):
+            a = np.diag(np.diagonal(a))
+        stack[k] = a
+    return stack
+
+
+class TestStackKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_stacks())
+    def test_every_slice_is_bit_identical_to_cyclic_jacobi(self, stack):
+        rotated = stack.copy()
+        sweeps, off = _jacobi_py.cyclic_jacobi_stack(rotated, 1e-12, 100)
+        values = jacobi_eigenvalues_stack(stack)
+        for k in range(len(stack)):
+            single = stack[k].copy()
+            assert (sweeps[k], off[k]) == _jacobi_py.cyclic_jacobi(single, 1e-12, 100)
+            assert np.array_equal(rotated[k], single)
+            assert tuple(values[k]) == jacobi_eigenvalues(stack[k], backend="python").eigenvalues
+
+    def test_diagonal_slices_take_no_sweep(self):
+        stack = np.array([np.diag([3.0, -1.0, 2.0]), [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0],
+                                                       [0.0, 1.0, 2.0]]])
+        sweeps, _ = _jacobi_py.cyclic_jacobi_stack(stack.copy(), 1e-12, 100)
+        assert sweeps[0] == 0 and sweeps[1] > 0
+
+    def test_nonconvergence_names_lowest_unconverged_matrix(self):
+        stack = np.array([np.diag(np.arange(8.0)), rng_symmetric(8, 3), rng_symmetric(8, 4)])
+        with pytest.raises(JacobiConvergenceError) as err:
+            jacobi_eigenvalues_stack(stack, max_sweeps=1)
+        with pytest.raises(JacobiConvergenceError) as single:
+            jacobi_eigenvalues(stack[1], max_sweeps=1, backend="python")
+        assert (err.value.sweeps, err.value.residual, err.value.target) == (
+            single.value.sweeps, single.value.residual, single.value.target)
+
+    def test_rejects_non_finite_matrix(self):
+        for bad in (float("nan"), float("inf"), 1e200):
+            stack = np.array([np.eye(3), np.eye(3)])
+            stack[1, 1, 1] = bad
+            with pytest.raises(ValueError, match="matrix 1 of the stack is out of float range"):
+                jacobi_eigenvalues_stack(stack)
+
+    def test_rejects_asymmetric_matrix(self):
+        stack = np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="matrix 1 of the stack is not symmetric"):
+            jacobi_eigenvalues_stack(stack)
+
+    def test_rejects_bad_shape_and_tolerance(self):
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            jacobi_eigenvalues_stack(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            jacobi_eigenvalues_stack(np.eye(3))
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerance"):
+                jacobi_eigenvalues_stack(np.array([np.eye(3)]), tol=tol)
+
+    def test_input_not_mutated(self):
+        stack = np.array([rng_symmetric(5, 1), rng_symmetric(5, 2)])
+        before = stack.copy()
+        jacobi_eigenvalues_stack(stack)
+        assert np.array_equal(stack, before)
