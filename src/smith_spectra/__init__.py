@@ -5,7 +5,7 @@ integers, computes their spectra with a self-contained symmetric
 eigensolver (compiled kernel with a pure-Python fallback), evaluates the
 exact arithmetical closed forms for the trace statistics m and s^2, and
 produces the associated eigenvalue bounds, comparison intervals and
-inertia tables.
+exact inertia tables.
 """
 
 from smith_spectra.arith import (
@@ -13,6 +13,7 @@ from smith_spectra.arith import (
     coprime_square_sum,
     dirichlet_convolve,
     divisors,
+    exact_inertia,
     gcd_square_row_sum,
     jordan_totient,
     lcm_square_row_sum,
@@ -35,12 +36,10 @@ from smith_spectra.matrices import (
     reciprocal_lcm_matrix,
 )
 from smith_spectra.eig import (
-    Inertia,
     JacobiConvergenceError,
     SpectralSummary,
     Spectrum,
     default_backend,
-    inertia,
     jacobi_eigenvalues,
     jacobi_eigenvalues_stack,
     spectral_summary,

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import isfinite
 
 
 @dataclass(frozen=True)
@@ -65,18 +66,20 @@ def _table(limit: int, slots: list[int], label: str) -> ArithTable:
     return ArithTable(limit, tuple(slots), label)
 
 
-def _linear_sieve(n: int) -> tuple[list[int], list[int]]:
-    """Euler's totient phi and Moebius mu on 0..n by one linear (Euler) sieve, O(n)."""
+def _linear_sieve(n: int) -> tuple[list[int], list[int], list[int]]:
+    """phi, mu and sign = (-1)^omega (omega(d): distinct primes of d) on 0..n
+    by one linear (Euler) sieve, O(n)."""
     phi = [0] * (n + 1)
     mu = [0] * (n + 1)
-    phi[1] = mu[1] = 1
+    sign = [0] * (n + 1)
+    phi[1] = mu[1] = sign[1] = 1
     smallest = [0] * (n + 1)  # smallest prime factor, 0 = not yet seen
     primes: list[int] = []
     for i in range(2, n + 1):
         if smallest[i] == 0:
             smallest[i] = i
             phi[i] = i - 1
-            mu[i] = -1
+            mu[i] = sign[i] = -1
             primes.append(i)
         for p in primes:
             if p > smallest[i] or i * p > n:
@@ -85,10 +88,12 @@ def _linear_sieve(n: int) -> tuple[list[int], list[int]]:
             if p == smallest[i]:
                 phi[i * p] = phi[i] * p
                 mu[i * p] = 0
+                sign[i * p] = sign[i]
             else:
                 phi[i * p] = phi[i] * (p - 1)
                 mu[i * p] = -mu[i]
-    return phi, mu
+                sign[i * p] = -sign[i]
+    return phi, mu, sign
 
 
 def sieve_totient(n: int) -> ArithTable:
@@ -238,6 +243,24 @@ def s_squared_lcm(n: int) -> Fraction:
     Exact rational: (2/n) sum_{i<=n} i^2 (g * zeta)(i) - (7n^2 + 12n + 5)/12.
     """
     return _s_squared(n, "lcm")
+
+
+def exact_inertia(n: int, epsilon: float) -> list[tuple[int, int, int]]:
+    """(positive, negative, zero) eigenvalue counts of (gcd(i, j)^epsilon) on {1..k},
+    k = 1..n (entry k - 1). By Smith it is E diag(N^epsilon * mu) E^T, E invertible, so
+    by Sylvester its signs are all + (epsilon > 0), (-1)^omega(d) (epsilon < 0) or the
+    unit at 1 (epsilon = 0). With D = diag(1..n), lcm = D gcd^-1 D, 1/lcm^r =
+    D^-r gcd^r D^-r and gcd^alpha lcm^beta = D^beta gcd^(alpha - beta) D^beta.
+    """
+    _require_positive(n)
+    if not isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    if epsilon > 0:
+        return [(k, 0, 0) for k in range(1, n + 1)]
+    if epsilon == 0:
+        return [(1, 0, k - 1) for k in range(1, n + 1)]
+    odd = list(accumulate((v < 0 for v in _linear_sieve(n)[2][1:]), initial=0))
+    return [(k - odd[k], odd[k], 0) for k in range(1, n + 1)]
 
 
 def smith_determinant(n: int) -> int:

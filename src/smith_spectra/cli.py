@@ -5,7 +5,7 @@ Subcommands:
 * ``bounds``          eigenvalue bound rows per n (csv/json/table)
 * ``spectrum``        sorted eigenvalues plus trace statistics
 * ``verify``          run the invariant suites over an n range
-* ``inertia-sweep``   positive/negative/zero eigenvalue counts per n
+* ``inertia-sweep``   exact positive/negative/zero eigenvalue counts per n
 * ``compare``         interval comparison against the actual extremes
 * ``reproduce-paper`` golden-number regression table
 * ``export-matrix``   raw matrix CSV
@@ -23,16 +23,16 @@ import argparse
 import json
 import os
 import sys
-from math import sqrt
+from math import isfinite, sqrt
 
 from smith_spectra import __version__
+from smith_spectra.arith import exact_inertia
 from smith_spectra.bounds import gcd_bounds, lcm_bounds, mh_interval, ws_bounds
 from smith_spectra.checks import failures, run_checks
 from smith_spectra.eig import (
     DEFAULT_TOL,
     JacobiConvergenceError,
     default_backend,
-    inertia,
     jacobi_eigenvalues,
     spectral_summary,
 )
@@ -168,7 +168,7 @@ def base_meta(args: argparse.Namespace, **extra) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# matrix construction shared by spectrum/bounds/inertia-sweep/export
+# matrix construction shared by spectrum/bounds/export
 
 
 def build_matrix(args: argparse.Namespace, explicit: IntegerSet | None,
@@ -290,17 +290,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_inertia_sweep(args: argparse.Namespace) -> int:
+    # exact counts, no matrix: each family is congruent to a power-gcd one (arith.exact_inertia)
     n_values = parse_n_range(args.n)
-    enforce_cap(max(n_values), True, args.allow_large)
-    rows = []
-    for n in n_values:
-        spec = jacobi_eigenvalues(build_matrix(args, None, n), tol=args.tol)
-        result = inertia(spec, zero_tol=args.zero_tol)
-        rows.append({
-            "n": n, "family": args.family,
-            "positive": result.positive, "negative": result.negative,
-            "zero": result.zero, "pos_minus_neg": result.positive - result.negative,
-        })
+    enforce_cap(max(n_values), False, args.allow_large)
+    if args.family == "recip-lcm" and args.r <= 0:
+        raise UsageError(f"exponent r must be > 0, got {args.r}")
+    epsilon, option = {
+        "gcd": (1.0, "--family"), "lcm": (-1.0, "--family"),
+        "power-gcd": (args.epsilon, "--epsilon"), "recip-lcm": (args.r, "--r"),
+        "mixed": (args.alpha - args.beta, "--alpha minus --beta"),
+    }[args.family]
+    if not isfinite(epsilon):
+        raise UsageError(f"{option} must be finite, got {epsilon}")
+    counts = exact_inertia(n_values[-1], epsilon)
+    rows = [{"n": n, "family": args.family, "positive": pos, "negative": neg,
+             "zero": zero, "pos_minus_neg": pos - neg}
+            for n, (pos, neg, zero) in zip(n_values, counts[n_values[0] - 1:])]
     meta = base_meta(args, family=args.family)
     emit(args, ["n", "family", "positive", "negative", "zero", "pos_minus_neg"], rows, meta)
     return 0
@@ -398,8 +403,6 @@ OPTIONS: dict[str, dict] = {
     "--alpha": dict(type=float, default=1.0, help="mixed gcd exponent"),
     "--beta": dict(type=float, default=0.0, help="mixed lcm exponent"),
     "--tol": dict(type=float, default=DEFAULT_TOL, help="solver tolerance"),
-    "--zero-tol": dict(type=float,
-                       help="inertia zero threshold (default 1e-9 * Frobenius norm)"),
     "--format": dict(dest="fmt", choices=("table", "csv", "json"), default="table"),
     "--out": dict(help="write output to this path"),
     "--allow-large": dict(action="store_true", help="exceed the default n caps (warns)"),
@@ -421,8 +424,8 @@ SUBCOMMANDS = {
     "verify": (cmd_verify, "run the invariant suites",
                ("--tol", "--format", "--out", "--allow-large", "--n-max", "--exact-only"), {}),
     "inertia-sweep": (cmd_inertia_sweep, "eigenvalue sign counts per n",
-                      ("--family", "--n", "--epsilon", "--r", "--alpha", "--beta", "--tol",
-                       "--zero-tol", "--format", "--out", "--allow-large"),
+                      ("--family", "--n", "--epsilon", "--r", "--alpha", "--beta",
+                       "--format", "--out", "--allow-large"),
                       {"--family": dict(default="lcm"), **_N_REQUIRED}),
     "compare": (cmd_compare, "interval comparison for the gcd family",
                 ("--n", "--tol", "--format", "--out", "--allow-large"), _N_REQUIRED),

@@ -1,4 +1,4 @@
-"""Symmetric eigensolver, trace statistics and inertia.
+"""Symmetric eigensolver and trace statistics.
 
 The solver is a self-contained cyclic Jacobi iteration: the compiled kernel
 is used when the extension built, otherwise the numpy fallback. Both share
@@ -100,16 +100,6 @@ class SpectralSummary:
         return sqrt(float(self.s_squared))
 
 
-@dataclass(frozen=True)
-class Inertia:
-    """Counts of positive / negative / near-zero eigenvalues."""
-
-    positive: int
-    negative: int
-    zero: int
-    zero_tolerance: float
-
-
 def _as_array(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, float]:
     """A private C-ordered float64 copy of the matrix, and its Frobenius norm."""
     entries = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=np.float64)
@@ -204,18 +194,3 @@ def spectral_summary(a: SymMatrix) -> SpectralSummary:
     m = float(np.trace(a.entries)) / n
     s_squared = float(np.sum(a.entries * a.entries)) / n - m * m
     return SpectralSummary(n, m, max(s_squared, 0.0), exact=False)
-
-
-def inertia(spectrum: Spectrum, zero_tol: float | None = None) -> Inertia:
-    """Classify eigenvalues against +-zero_tol.
-
-    Default tolerance is 1e-9 * ||A||_F, recovered from the spectrum since
-    the Frobenius norm is the root of the eigenvalue square sum.
-    """
-    if zero_tol is None:
-        zero_tol = 1e-9 * sqrt(sum(v * v for v in spectrum.eigenvalues))
-    if not (isfinite(zero_tol) and zero_tol >= 0):
-        raise ValueError(f"zero tolerance must be finite and >= 0, got {zero_tol}")
-    pos = sum(1 for v in spectrum.eigenvalues if v > zero_tol)
-    neg = sum(1 for v in spectrum.eigenvalues if v < -zero_tol)
-    return Inertia(pos, neg, spectrum.n - pos - neg, zero_tol)

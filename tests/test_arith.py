@@ -4,6 +4,7 @@ oracle that never touches the code path under test."""
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from smith_spectra.arith import (
     coprime_square_sum,
     dirichlet_convolve,
     divisors,
+    exact_inertia,
     gcd_square_row_sum,
     jordan_totient,
     lcm_square_row_sum,
@@ -24,6 +26,15 @@ from smith_spectra.arith import (
     sieve_totient,
     smith_determinant,
     zeta_table,
+)
+from smith_spectra.eig import jacobi_eigenvalues
+from smith_spectra.matrices import (
+    IntegerSet,
+    gcd_matrix,
+    lcm_matrix,
+    mixed_power_matrix,
+    power_gcd_matrix,
+    reciprocal_lcm_matrix,
 )
 
 # ---------------------------------------------------------------------------
@@ -55,6 +66,18 @@ def gcd_row_oracle(i: int) -> int:
 
 def lcm_row_oracle(i: int) -> int:
     return sum(lcm(i, j) ** 2 for j in range(1, i + 1))
+
+
+def omega_oracle(m: int) -> int:
+    """Number of distinct prime factors of m, by trial division."""
+    count, p = 0, 2
+    while p * p <= m:
+        if m % p == 0:
+            count += 1
+            while m % p == 0:
+                m //= p
+        p += 1
+    return count + (m > 1)
 
 
 def coprime_square_oracle(t: int) -> int:
@@ -305,3 +328,63 @@ def test_smith_determinant_matches_cofactor_oracle():
     for n in (2, 3, 4, 5, 6):
         rows = [[gcd(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
         assert det_oracle(rows) == smith_determinant(n)
+
+
+# ---------------------------------------------------------------------------
+# exact inertia: Smith's factorization and Sylvester's law of inertia
+
+
+def sign_counts(values) -> tuple[int, int, int]:
+    positive = sum(1 for v in values if v > 0)
+    negative = sum(1 for v in values if v < 0)
+    return positive, negative, len(values) - positive - negative
+
+
+def test_sieve_sign_is_omega_parity():
+    sign = arith._linear_sieve(2000)[2]
+    assert sign[1:] == [(-1) ** omega_oracle(d) for d in range(1, 2001)]
+
+
+@pytest.mark.parametrize("build, epsilon", [
+    (lambda n: power_gcd_matrix(IntegerSet.first_n(n), -2.0), -2.0),
+    (lambda n: power_gcd_matrix(IntegerSet.first_n(n), -1.0), -1.0),
+    (lambda n: power_gcd_matrix(IntegerSet.first_n(n), -0.5), -0.5),
+    (lambda n: power_gcd_matrix(IntegerSet.first_n(n), 0.7), 0.7),
+    (lambda n: power_gcd_matrix(IntegerSet.first_n(n), 1.0), 1.0),
+    # 1/lcm^r = D^-r gcd^r D^-r
+    (lambda n: reciprocal_lcm_matrix(IntegerSet.first_n(n), 1.5), 1.5),
+    # gcd^alpha lcm^beta = D^beta gcd^(alpha - beta) D^beta; at (1, 2) the
+    # smallest |lambda| / ||A||_F is about 1e-9
+    (lambda n: mixed_power_matrix(n, 1.0, 2.0), -1.0),
+    (lambda n: mixed_power_matrix(n, 2.0, 0.5), 1.5),
+], ids=["power-gcd(-2)", "power-gcd(-1)", "power-gcd(-0.5)", "power-gcd(0.7)",
+        "power-gcd(1)", "recip-lcm(1.5)", "mixed(1,2)", "mixed(2,0.5)"])
+def test_exact_inertia_matches_eigvalsh(build, epsilon):
+    counts = exact_inertia(60, epsilon)
+    for n in range(1, 61):
+        assert counts[n - 1] == sign_counts(np.linalg.eigvalsh(build(n).entries)), n
+
+
+def test_exact_inertia_epsilon_zero_is_rank_one():
+    # gcd^0 is the all-ones matrix
+    assert exact_inertia(50, 0.0) == [(1, 0, n - 1) for n in range(1, 51)]
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
+def test_exact_inertia_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        exact_inertia(5, epsilon)
+
+
+def test_exact_inertia_rejects_nonpositive_order():
+    with pytest.raises(ValueError):
+        exact_inertia(0, -1.0)
+
+
+@pytest.mark.parametrize("build, epsilon", [(gcd_matrix, 1.0), (lcm_matrix, -1.0)],
+                         ids=["gcd", "lcm"])
+def test_exact_inertia_matches_the_solver(build, epsilon):
+    counts = exact_inertia(40, epsilon)
+    for n in range(1, 41):
+        spectrum = jacobi_eigenvalues(build(IntegerSet.first_n(n)))
+        assert counts[n - 1] == sign_counts(spectrum.eigenvalues), n

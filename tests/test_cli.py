@@ -1,5 +1,6 @@
 """CLI contract tests: output schemas, exit codes, determinism, caps."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,8 +8,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smith_spectra.cli import main
+from smith_spectra.cli import FAMILIES, SUBCOMMANDS, main
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -200,6 +203,36 @@ class TestInertiaSweep:
         (row,) = parse_json(out)["rows"]
         assert (row["positive"], row["negative"], row["zero"]) == (5, 0, 0)
 
+    @pytest.mark.parametrize("argv, last_row", [
+        # the smallest |lambda| (0.21) is below 1e-9 * ||A||_F (4.06)
+        ("--family mixed --alpha 1 --beta 2 --n 120", "120,mixed,67,53,0,14"),
+        # above the 500 solve cap: the counts need no solve
+        ("--family lcm --n 800", "800,lcm,430,370,0,60"),
+        ("--family recip-lcm --r 6 --n 300", "300,recip-lcm,300,0,0,300"),
+        ("--family power-gcd --epsilon -3 --n 300", "300,power-gcd,164,136,0,28"),
+        # no float matrix is built, so gcd^400 does not overflow
+        ("--family power-gcd --epsilon 400 --n 10", "10,power-gcd,10,0,0,10"),
+    ], ids=["mixed", "lcm-800", "recip-lcm", "power-gcd", "power-gcd-400"])
+    def test_exact_counts(self, capsys, argv, last_row):
+        code, out = run_cli(capsys, "inertia-sweep", *argv.split(), "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-1] == last_row
+
+    @pytest.mark.parametrize("argv, message", [
+        ("--family power-gcd --epsilon nan", "--epsilon must be finite, got nan"),
+        ("--family power-gcd --epsilon inf", "--epsilon must be finite, got inf"),
+        ("--family mixed --alpha inf --beta inf",
+         "--alpha minus --beta must be finite, got nan"),
+        ("--family recip-lcm --r inf", "--r must be finite, got inf"),
+        ("--family recip-lcm --r 0", "exponent r must be > 0, got 0.0"),
+    ], ids=["epsilon-nan", "epsilon-inf", "mixed-inf", "r-inf", "r-zero"])
+    def test_bad_exponent_is_usage_error(self, capsys, argv, message):
+        code = main(["inertia-sweep", *argv.split(), "--n", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
 
 class TestCompareCommand:
     def test_reference_endpoints(self, capsys):
@@ -314,6 +347,8 @@ class TestCaps:
     "inertia-sweep --set 1,2,6",
     "inertia-sweep --n 3 --set 1,2,6",
     "inertia-sweep --n 2..5 --n-max 8",
+    "inertia-sweep --n 5 --tol 1e-9",
+    "inertia-sweep --n 5 --zero-tol 1",
     "verify --set 1,2",
     "verify --n 70..80",
     "bounds --n 4 --zero-tol 1",
@@ -331,6 +366,53 @@ def test_option_the_subcommand_does_not_read_is_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: " in captured.err
+
+
+# option values: mostly good ones, sometimes one at the edge of its type. Every
+# integer here is at most 12, so no drawn command runs a large order.
+FUZZ_GOOD = {
+    "--n": ["1", "3", "12", "2..12"],
+    "--set": ["1,2,6", "2,3,4", "12"],
+    "--n-max": ["2", "3", "12"],
+    "--family": list(FAMILIES),
+    "--format": ["table", "csv", "json"],
+}
+FUZZ_GOOD_FLOAT = ["1", "2", "0.5", "-0.5", "-2"]
+FUZZ_EDGES = ["0", "-1", "nan", "inf", "-inf", "1e308", "", "5..3", "1,1", "nope"]
+FUZZ_FLAGS = ("--with-actual", "--exact-only")
+FUZZ_FOREIGN = ("--set", "--n-max", "--tol", "--zero-tol", "--with-actual")
+
+
+@st.composite
+def fuzz_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    own = [o for o in SUBCOMMANDS[command][2] if o not in ("--out", "--allow-large")]
+    names = draw(st.lists(st.sampled_from(own), max_size=5))
+    if draw(st.integers(0, 7)) == 0:  # sometimes an option the command may not take
+        names.append(draw(st.sampled_from(FUZZ_FOREIGN)))
+    # a target first, which a drawn one overrides; verify's --n-max defaults to 50
+    lead = "--n-max" if command == "verify" else "--n" if "--n" in own else None
+    argv = [command]
+    for option in ([lead] if lead else []) + names:
+        argv.append(option)
+        if option in FUZZ_FLAGS:
+            continue
+        good = FUZZ_GOOD.get(option, FUZZ_GOOD_FLOAT)
+        argv.append(draw(st.sampled_from(good if draw(st.integers(0, 3)) else FUZZ_EDGES)))
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=fuzz_argv())
+def test_any_argv_exits_0_1_or_2(argv):
+    # never a traceback: a result or SystemExit with a code in {0, 1, 2}
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, sink.getvalue()[-500:])
 
 
 def test_console_script_installed():

@@ -1,6 +1,6 @@
 """Solver tests: exact 2x2 spectra, an independent LAPACK oracle
 (numpy.linalg.eigvalsh) for larger matrices, the structural spectrum
-properties (trace consistency, interlacing, inertia, determinant), and the
+properties (trace consistency, interlacing, determinant), and the
 stack kernel against the per-matrix numpy kernel, bit for bit."""
 
 from math import sqrt
@@ -13,11 +13,8 @@ from hypothesis import strategies as st
 from smith_spectra import _jacobi_py
 from smith_spectra.arith import smith_determinant
 from smith_spectra.eig import (
-    Inertia,
     JacobiConvergenceError,
-    Spectrum,
     available_backends,
-    inertia,
     jacobi_eigenvalues,
     jacobi_eigenvalues_stack,
     spectral_summary,
@@ -206,32 +203,6 @@ class TestSpectralSummary:
         assert summary.m == pytest.approx(1.0)
         # all-ones: s^2 = n - 1
         assert summary.s_squared == pytest.approx(3.0)
-
-
-@by_backend
-class TestInertia:
-    def test_lcm_s2_split(self, backend):
-        spec = jacobi_eigenvalues(lcm_matrix(IntegerSet.of(1, 2)), backend=backend)
-        assert inertia(spec) == Inertia(1, 1, 0, inertia(spec).zero_tolerance)
-
-    def test_gcd_all_positive(self, backend):
-        for n in (3, 12, 50):
-            spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(n)), backend=backend)
-            result = inertia(spec)
-            assert (result.positive, result.negative, result.zero) == (n, 0, 0)
-
-    def test_zero_matrix_all_zero(self, backend):
-        spec = jacobi_eigenvalues(np.zeros((5, 5)), backend=backend)
-        result = inertia(spec)
-        assert (result.positive, result.negative, result.zero) == (0, 0, 5)
-
-    def test_explicit_tolerance(self, backend):
-        spec = Spectrum((-0.5, 0.001, 2.0), 1e-12, 1, 0.0)
-        result = inertia(spec, zero_tol=0.01)
-        assert (result.positive, result.negative, result.zero) == (1, 1, 1)
-        for bad in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                inertia(spec, zero_tol=bad)
 
 
 @st.composite
