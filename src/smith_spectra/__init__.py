@@ -1,11 +1,10 @@
 """GCD/LCM-family matrices: exact trace statistics, eigenvalue bounds and spectra.
 
 The package builds gcd, lcm and related matrices on sets of positive
-integers, computes their spectra with a self-contained symmetric
-eigensolver (compiled kernel with a pure-Python fallback), evaluates the
-exact arithmetical closed forms for the trace statistics m and s^2, and
-produces the associated eigenvalue bounds, comparison intervals and
-exact inertia tables.
+integers, computes their spectra with a self-contained cyclic Jacobi
+eigensolver (one numpy kernel), evaluates the exact arithmetical closed
+forms for the trace statistics m and s^2, and produces the associated
+eigenvalue bounds, comparison intervals and exact inertia tables.
 """
 
 from smith_spectra.arith import (

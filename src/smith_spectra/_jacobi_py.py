@@ -1,8 +1,8 @@
-"""Pure-Python (numpy) fallback for the cyclic-Jacobi sweep kernel.
+"""The cyclic-Jacobi sweep kernel, in numpy: the one backend of
+:mod:`smith_spectra.eig`.
 
-Same rotation order and formulas as the compiled kernel in ``_jacobi.pyx``;
-rows and columns are updated with vector operations instead of an inner C
-loop, so it is typically 30-80x slower but needs no compiler.
+Rotations run in row-cyclic order; each updates two rows and two columns
+with vector operations, so no compiler is needed.
 
 ``cyclic_jacobi_stack`` runs the same sweeps over a stack of equal-order
 matrices at once, one vector operation per rotation for the whole stack,

@@ -28,7 +28,6 @@ import numpy as np
 
 from smith_spectra import arith
 from smith_spectra.eig import (
-    DEFAULT_TOL,
     Spectrum,
     SpectralSummary,
     jacobi_eigenvalues,
@@ -206,12 +205,7 @@ def lcm_bounds(n: int) -> BoundsReport:
     return _improved(n, "lcm", METHOD_LCM, radicand, summary)
 
 
-def mh_interval(
-    n: int,
-    alpha: float,
-    beta: float,
-    tol: float = DEFAULT_TOL,
-) -> tuple[float, float]:
+def mh_interval(n: int, alpha: float, beta: float) -> tuple[float, float]:
     """Mattila-Haukkanen interval containing every eigenvalue of the
     mixed-power matrix (gcd^alpha * lcm^beta) on {1..n}:
 
@@ -232,7 +226,7 @@ def mh_interval(
         )
     jt = arith.jordan_totient(n, k)
     max_j = max(abs(v) for v in jt.values[1:])
-    t_n = jacobi_eigenvalues(divisibility_gram(n), tol=tol).max
+    t_n = jacobi_eigenvalues(divisibility_gram(n)).max
     hi = t_n * max(1.0, float(n) ** (2 * beta)) * max_j
     lo = 2.0 * min(1.0, float(n) ** (alpha + beta)) - hi
     return lo, hi
@@ -255,7 +249,7 @@ def hong_lee_bounds(s: IntegerSet, r: float, k: int) -> tuple[float, float]:
     return mean_bound, kth_bound
 
 
-def hong_cn(n: int, cap: int = 6, tol: float = DEFAULT_TOL) -> HongConstant:
+def hong_cn(n: int, cap: int = 6) -> HongConstant:
     """Hong's constant c_n by exhaustion over all 2^(n(n-1)/2) unit
     lower-triangular 0/1 matrices Y, minimizing the smallest eigenvalue of
     Y Y^T. Exponential, hence capped (n = 6 already means 32768 solves).
@@ -284,7 +278,7 @@ def hong_cn(n: int, cap: int = 6, tol: float = DEFAULT_TOL) -> HongConstant:
         y[:, diagonal, diagonal] = 1.0
         y[:, rows, cols] = (patterns[:, None] >> shifts) & 1
         # 0/1 entries: every entry of Y Y^T is a small integer, computed exactly
-        smallest = jacobi_eigenvalues_stack(y @ y.transpose(0, 2, 1), tol=tol)[:, 0]
+        smallest = jacobi_eigenvalues_stack(y @ y.transpose(0, 2, 1))[:, 0]
         i = int(np.argmin(smallest))
         if best is None or smallest[i] < best:
             best, witness = float(smallest[i]), y[i]

@@ -23,7 +23,7 @@ from smith_spectra.bounds import (
     mh_interval,
     ws_bounds,
 )
-from smith_spectra.eig import DEFAULT_TOL, Spectrum, jacobi_eigenvalues, spectral_summary
+from smith_spectra.eig import Spectrum, jacobi_eigenvalues, spectral_summary
 from smith_spectra.matrices import IntegerSet, gcd_matrix, lcm_matrix
 
 INTERLACING_CAP = 60
@@ -47,17 +47,13 @@ def failures(results: list[CheckResult]) -> list[CheckResult]:
     return [r for r in results if not r.ok]
 
 
-def run_checks(
-    n_max: int,
-    exact_only: bool = False,
-    tol: float = DEFAULT_TOL,
-) -> list[CheckResult]:
+def run_checks(n_max: int, exact_only: bool = False) -> list[CheckResult]:
     """Run every suite up to n_max (per-check caps still apply)."""
     if n_max < 2:
         raise ValueError(f"verification needs n_max >= 2, got {n_max}")
     results = _exact_checks(n_max)
     if not exact_only:
-        results += _spectral_checks(n_max, tol)
+        results += _spectral_checks(n_max)
     return results
 
 
@@ -126,7 +122,7 @@ def _exact_checks(n_max: int) -> list[CheckResult]:
 # spectral checks
 
 
-def _spectral_checks(n_max: int, tol: float) -> list[CheckResult]:
+def _spectral_checks(n_max: int) -> list[CheckResult]:
     out: list[CheckResult] = []
 
     # small-order gaps feeding the cross-term inequalities
@@ -137,7 +133,7 @@ def _spectral_checks(n_max: int, tol: float) -> list[CheckResult]:
     for n in range(2, n_max + 1):
         for family, build in (("gcd", gcd_matrix), ("lcm", lcm_matrix)):
             matrix = build(IntegerSet.first_n(n))
-            spec = jacobi_eigenvalues(matrix, tol=tol)
+            spec = jacobi_eigenvalues(matrix)
             scale = float(np.max(np.abs(matrix.entries)))
 
             if family == "gcd":
@@ -206,7 +202,7 @@ def _spectral_checks(n_max: int, tol: float) -> list[CheckResult]:
                         "smith_determinant_eigenproduct", n, ok,
                         "" if ok else f"{det:.6e} vs {expected}"))
                 if n <= MH_CAP:
-                    lo, hi = mh_interval(n, 1, 0, tol=tol)
+                    lo, hi = mh_interval(n, 1, 0)
                     # closed interval; at n = 2 the gcd matrix IS the
                     # divisibility Gram matrix, so the upper endpoint is hit
                     ok = lo - slack <= spec.min and spec.max <= hi + slack

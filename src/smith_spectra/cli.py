@@ -30,7 +30,6 @@ from smith_spectra.arith import exact_inertia
 from smith_spectra.bounds import gcd_bounds, lcm_bounds, mh_interval, ws_bounds
 from smith_spectra.checks import failures, run_checks
 from smith_spectra.eig import (
-    DEFAULT_TOL,
     JacobiConvergenceError,
     default_backend,
     jacobi_eigenvalues,
@@ -74,6 +73,8 @@ def enforce_cap(top: int, needs_solve: bool, allow_large: bool) -> None:
             limit = int(env)
         except ValueError:
             raise UsageError(f"{CAP_ENV_VAR}={env!r} is not an integer") from None
+        if limit < 1:
+            raise UsageError(f"{CAP_ENV_VAR}={env!r} must be >= 1")
     if top <= limit:
         return
     if allow_large:
@@ -215,7 +216,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if args.with_actual:
             if matrix is None:
                 matrix = build_matrix(args, explicit, n)
-            report = report.with_actual(jacobi_eigenvalues(matrix, tol=args.tol))
+            report = report.with_actual(jacobi_eigenvalues(matrix))
         return {
             "n": report.n, "family": report.family, "method": report.method,
             "m": report.m, "s": report.s,
@@ -234,7 +235,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     n_values, explicit = read_target(args, needs_solve=True)
     matrix = build_matrix(args, explicit, _single_n(args, n_values))
-    spec = jacobi_eigenvalues(matrix, tol=args.tol)
+    spec = jacobi_eigenvalues(matrix)
     summary = spectral_summary(matrix)
     rows = [{"index": i + 1, "eigenvalue": v} for i, v in enumerate(spec.eigenvalues)]
     meta = base_meta(
@@ -257,7 +258,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max < 2:
         raise UsageError(f"--n-max must be >= 2, got {args.n_max}")
     enforce_cap(args.n_max, not args.exact_only, args.allow_large)
-    results = run_checks(args.n_max, exact_only=args.exact_only, tol=args.tol)
+    results = run_checks(args.n_max, exact_only=args.exact_only)
     bad = failures(results)
     meta = base_meta(args, n_max=args.n_max, exact_only=args.exact_only,
                      checks=len(results), failures=len(bad))
@@ -316,8 +317,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     enforce_cap(max(n_values), True, args.allow_large)
     rows = []
     for n in n_values:
-        lo, hi = mh_interval(n, 1, 0, tol=args.tol)
-        spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(n)), tol=args.tol)
+        lo, hi = mh_interval(n, 1, 0)
+        spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(n)))
         row = {
             "n": n, "mh_lower": lo, "mh_upper": hi,
             "actual_min": spec.min, "actual_max": spec.max,
@@ -355,19 +356,19 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     check("gcd20_max_lower", rep.lambda_max_lower, 13.1876, 5e-4)
     check("gcd20_max_upper", rep.lambda_max_upper, 61.2114, 5e-4)
 
-    spec3 = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(3)), tol=args.tol)
+    spec3 = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(3)))
     check("gcd3_lambda1", spec3.eigenvalues[0], 0.324, 5e-3)
     check("gcd3_lambda2", spec3.eigenvalues[1], 1.460, 5e-3)
 
-    spec4 = jacobi_eigenvalues(lcm_matrix(IntegerSet.first_n(4)), tol=args.tol)
+    spec4 = jacobi_eigenvalues(lcm_matrix(IntegerSet.first_n(4)))
     check("lcm4_mu1", spec4.eigenvalues[0], -8.843, 5e-3)
     check("lcm4_mu3", spec4.eigenvalues[2], -0.312, 5e-3)
 
-    spec2 = jacobi_eigenvalues(lcm_matrix(IntegerSet.of(1, 2)), tol=args.tol)
+    spec2 = jacobi_eigenvalues(lcm_matrix(IntegerSet.of(1, 2)))
     check("lcm2_mu1_exact", spec2.eigenvalues[0], (3 - sqrt(17)) / 2, 1e-10)
     check("lcm2_mu2_exact", spec2.eigenvalues[1], (3 + sqrt(17)) / 2, 1e-10)
 
-    lo, hi = mh_interval(20, 1, 0, tol=args.tol)
+    lo, hi = mh_interval(20, 1, 0)
     check("mh20_lower", lo, -595.8214, 1e-3)
     check("mh20_upper", hi, 597.8214, 1e-3)
 
@@ -402,7 +403,6 @@ OPTIONS: dict[str, dict] = {
     "--r": dict(type=float, default=1.0, help="recip-lcm exponent"),
     "--alpha": dict(type=float, default=1.0, help="mixed gcd exponent"),
     "--beta": dict(type=float, default=0.0, help="mixed lcm exponent"),
-    "--tol": dict(type=float, default=DEFAULT_TOL, help="solver tolerance"),
     "--format": dict(dest="fmt", choices=("table", "csv", "json"), default="table"),
     "--out": dict(help="write output to this path"),
     "--allow-large": dict(action="store_true", help="exceed the default n caps (warns)"),
@@ -418,19 +418,19 @@ _N_REQUIRED = {"--n": dict(required=True)}
 # name: (command function, help, options, overrides of OPTIONS)
 SUBCOMMANDS = {
     "bounds": (cmd_bounds, "eigenvalue bound rows",
-               (*_MATRIX, "--tol", "--format", "--out", "--allow-large", "--with-actual"), {}),
+               (*_MATRIX, "--format", "--out", "--allow-large", "--with-actual"), {}),
     "spectrum": (cmd_spectrum, "sorted eigenvalues plus summary",
-                 (*_MATRIX, "--tol", "--format", "--out", "--allow-large"), {}),
+                 (*_MATRIX, "--format", "--out", "--allow-large"), {}),
     "verify": (cmd_verify, "run the invariant suites",
-               ("--tol", "--format", "--out", "--allow-large", "--n-max", "--exact-only"), {}),
+               ("--format", "--out", "--allow-large", "--n-max", "--exact-only"), {}),
     "inertia-sweep": (cmd_inertia_sweep, "eigenvalue sign counts per n",
                       ("--family", "--n", "--epsilon", "--r", "--alpha", "--beta",
                        "--format", "--out", "--allow-large"),
                       {"--family": dict(default="lcm"), **_N_REQUIRED}),
     "compare": (cmd_compare, "interval comparison for the gcd family",
-                ("--n", "--tol", "--format", "--out", "--allow-large"), _N_REQUIRED),
+                ("--n", "--format", "--out", "--allow-large"), _N_REQUIRED),
     "reproduce-paper": (cmd_reproduce_paper, "golden-number regression table",
-                        ("--tol", "--format", "--out"), {}),
+                        ("--format", "--out"), {}),
     "export-matrix": (cmd_export_matrix, "write the matrix as CSV",
                       (*_MATRIX, "--out", "--allow-large"), {}),
 }

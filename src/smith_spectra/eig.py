@@ -1,8 +1,11 @@
 """Symmetric eigensolver and trace statistics.
 
-The solver is a self-contained cyclic Jacobi iteration: the compiled kernel
-is used when the extension built, otherwise the numpy fallback. Both share
-one contract, so results differ only in rounding. This solver is the
+The solver is a self-contained cyclic Jacobi iteration, the numpy kernel
+in :mod:`smith_spectra._jacobi_py`; it is the one backend, ``"python"``.
+The tolerance lives here only: ``jacobi_eigenvalues`` and
+``jacobi_eigenvalues_stack`` take ``tol`` (default :data:`DEFAULT_TOL`)
+and validate it, every caller above this module uses the default, and
+:attr:`Spectrum.off_norm` reports the residual reached. This solver is the
 ground truth every bound in :mod:`smith_spectra.bounds` is validated
 against, which is why it does not delegate to an external eigensolver.
 """
@@ -18,29 +21,17 @@ import numpy as np
 from smith_spectra.matrices import SymMatrix, _frobenius_norm
 from smith_spectra import _jacobi_py
 
-try:
-    from smith_spectra import _jacobi  # compiled extension, may be absent
-
-    _DEFAULT = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    _jacobi = None
-    _DEFAULT = "python"
-
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 100
 
 
 def available_backends() -> dict[str, object]:
-    """Kernel modules keyed by backend name ('compiled' first when built)."""
-    out: dict[str, object] = {}
-    if _jacobi is not None:
-        out["compiled"] = _jacobi
-    out["python"] = _jacobi_py
-    return out
+    """Kernel modules keyed by backend name: the numpy kernel only."""
+    return {"python": _jacobi_py}
 
 
 def default_backend() -> str:
-    return _DEFAULT
+    return "python"
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -126,7 +117,6 @@ def jacobi_eigenvalues(
     a: SymMatrix | np.ndarray,
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    backend: str | None = None,
 ) -> Spectrum:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
@@ -136,11 +126,7 @@ def jacobi_eigenvalues(
     """
     _check_tolerance(tol)
     work, fro = _as_array(a)
-    kernels = available_backends()
-    name = backend or _DEFAULT
-    if name not in kernels:
-        raise ValueError(f"unknown backend {name!r}; built: {sorted(kernels)}")
-    sweeps, off = kernels[name].cyclic_jacobi(work, tol, max_sweeps)
+    sweeps, off = _jacobi_py.cyclic_jacobi(work, tol, max_sweeps)
     if off > tol * fro:
         raise JacobiConvergenceError(sweeps, off, tol * fro)
     values = np.sort(np.diagonal(work))
@@ -153,12 +139,12 @@ def jacobi_eigenvalues_stack(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> np.ndarray:
     """Sorted eigenvalues of every matrix of a (B, n, n) stack, as a (B, n)
-    array, by the numpy kernel's cyclic Jacobi run on the whole stack.
+    array, by the kernel's cyclic Jacobi run on the whole stack.
 
-    Row i equals ``jacobi_eigenvalues(stack[i], tol, max_sweeps,
-    backend="python").eigenvalues`` bit for bit, and the same checks apply
-    to each matrix; :class:`JacobiConvergenceError` names the
-    lowest-index matrix that did not converge.
+    Row i equals ``jacobi_eigenvalues(stack[i], tol,
+    max_sweeps).eigenvalues`` bit for bit, and the same checks apply to
+    each matrix; :class:`JacobiConvergenceError` names the lowest-index
+    matrix that did not converge.
     """
     _check_tolerance(tol)
     work = np.array(stack, dtype=np.float64, order="C", copy=True)

@@ -293,7 +293,7 @@ class TestHongConstant:
             y = np.eye(n)
             for bit, (i, j) in zip(bits, positions):
                 y[i, j] = bit
-            smallest = jacobi_eigenvalues(y @ y.T, backend="python").min
+            smallest = jacobi_eigenvalues(y @ y.T).min
             if best is None or smallest < best:
                 best, witness = smallest, tuple(tuple(int(v) for v in row) for row in y)
         const = hong_cn(n)

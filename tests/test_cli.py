@@ -342,6 +342,15 @@ class TestCaps:
         code, _ = run_cli(capsys, "bounds", "--family", "gcd", "--n", "20")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_env_var_below_one_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SMITH_SPECTRA_MAX_N", value)
+        code = main(["bounds", "--n", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: SMITH_SPECTRA_MAX_N={value!r} must be >= 1\n"
+        assert captured.out == ""
+
 
 @pytest.mark.parametrize("argv", [
     "inertia-sweep --set 1,2,6",
@@ -356,6 +365,13 @@ class TestCaps:
     "compare --n 5 --epsilon 2",
     "reproduce-paper --n 5",
     "export-matrix --n 3 --format json",
+    # the solver tolerance is fixed at eig.DEFAULT_TOL; --tol 1e300 used to
+    # print the diagonal as the spectrum with exit 0
+    "spectrum --family lcm --n 30 --tol 1e300",
+    "bounds --family lcm --n 5 --with-actual --tol 1e300",
+    "verify --n-max 5 --tol 1e-9",
+    "compare --n 5 --tol 1e-9",
+    "reproduce-paper --tol 1e-9",
 ])
 def test_option_the_subcommand_does_not_read_is_usage_error(capsys, argv):
     # each subcommand takes only the options its command reads; any other

@@ -15,15 +15,24 @@ from smith_spectra.arith import smith_determinant
 from smith_spectra.eig import (
     JacobiConvergenceError,
     available_backends,
+    default_backend,
     jacobi_eigenvalues,
     jacobi_eigenvalues_stack,
     spectral_summary,
 )
 from smith_spectra.matrices import IntegerSet, gcd_matrix, lcm_matrix
 
-BACKENDS = list(available_backends())
 
-by_backend = pytest.mark.parametrize("backend", BACKENDS)
+@pytest.fixture
+def backend(request):
+    """Each kernel that exists. There is one, and jacobi_eigenvalues runs
+    it; a second kernel fails here until its solves are routed through it."""
+    assert request.param == default_backend()
+
+
+def by_backend(cls):
+    cls = pytest.mark.usefixtures("backend")(cls)
+    return pytest.mark.parametrize("backend", list(available_backends()), indirect=True)(cls)
 
 
 def rng_symmetric(n: int, seed: int) -> np.ndarray:
@@ -34,89 +43,89 @@ def rng_symmetric(n: int, seed: int) -> np.ndarray:
 
 @by_backend
 class TestExactSpectra:
-    def test_gcd_s2_quadratic_roots(self, backend):
-        spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.of(1, 2)), backend=backend)
+    def test_gcd_s2_quadratic_roots(self):
+        spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.of(1, 2)))
         assert spec.eigenvalues[0] == pytest.approx((3 - sqrt(5)) / 2, abs=1e-14)
         assert spec.eigenvalues[1] == pytest.approx((3 + sqrt(5)) / 2, abs=1e-14)
 
-    def test_lcm_s2_quadratic_roots(self, backend):
-        spec = jacobi_eigenvalues(lcm_matrix(IntegerSet.of(1, 2)), backend=backend)
+    def test_lcm_s2_quadratic_roots(self):
+        spec = jacobi_eigenvalues(lcm_matrix(IntegerSet.of(1, 2)))
         assert spec.eigenvalues[0] == pytest.approx((3 - sqrt(17)) / 2, abs=1e-12)
         assert spec.eigenvalues[1] == pytest.approx((3 + sqrt(17)) / 2, abs=1e-12)
 
-    def test_gcd_s3_small_eigenvalues(self, backend):
+    def test_gcd_s3_small_eigenvalues(self):
         # 0.324 / 1.460 to three decimals; oracle: numpy eigvalsh agrees below
-        spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(3)), backend=backend)
+        spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(3)))
         assert spec.eigenvalues[0] == pytest.approx(0.324, abs=5e-3)
         assert spec.eigenvalues[1] == pytest.approx(1.460, abs=5e-3)
 
-    def test_diagonal_matrix_is_fixed_point(self, backend):
-        spec = jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0]), backend=backend)
+    def test_diagonal_matrix_is_fixed_point(self):
+        spec = jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0]))
         assert spec.eigenvalues == (-1.0, 2.0, 3.0)
         assert spec.sweeps == 0
 
-    def test_single_entry(self, backend):
-        assert jacobi_eigenvalues(np.array([[7.0]]), backend=backend).eigenvalues == (7.0,)
+    def test_single_entry(self):
+        assert jacobi_eigenvalues(np.array([[7.0]])).eigenvalues == (7.0,)
 
-    def test_zero_matrix(self, backend):
-        spec = jacobi_eigenvalues(np.zeros((4, 4)), backend=backend)
+    def test_zero_matrix(self):
+        spec = jacobi_eigenvalues(np.zeros((4, 4)))
         assert spec.eigenvalues == (0.0, 0.0, 0.0, 0.0)
 
 
 @by_backend
 class TestAgainstLapackOracle:
     @pytest.mark.parametrize("n", [5, 20, 57])
-    def test_gcd_and_lcm_matrices(self, backend, n):
+    def test_gcd_and_lcm_matrices(self, n):
         for build in (gcd_matrix, lcm_matrix):
             m = build(IntegerSet.first_n(n))
-            ours = np.array(jacobi_eigenvalues(m, backend=backend).eigenvalues)
+            ours = np.array(jacobi_eigenvalues(m).eigenvalues)
             lapack = np.linalg.eigvalsh(m.entries)
             scale = np.max(np.abs(lapack))
             assert np.max(np.abs(ours - lapack)) < 1e-9 * scale
 
     @pytest.mark.parametrize("n,seed", [(10, 0), (40, 1)])
-    def test_random_symmetric(self, backend, n, seed):
+    def test_random_symmetric(self, n, seed):
         a = rng_symmetric(n, seed)
-        ours = np.array(jacobi_eigenvalues(a, backend=backend).eigenvalues)
+        ours = np.array(jacobi_eigenvalues(a).eigenvalues)
         lapack = np.linalg.eigvalsh(a)
         assert np.max(np.abs(ours - lapack)) < 1e-10 * max(1.0, np.max(np.abs(lapack)))
 
 
 @by_backend
 class TestSolverContract:
-    def test_rejects_asymmetric(self, backend):
+    def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]), backend=backend)
+            jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_rejects_non_finite_entries(self, backend):
+    def test_rejects_non_finite_entries(self):
         # caught before the symmetry test and before a sweep-0 "convergence"
         for bad in (float("nan"), float("inf"), 1e200):
             a = np.eye(3)
             a[1, 1] = bad
             with pytest.raises(ValueError, match="not finite"):
-                jacobi_eigenvalues(a, backend=backend)
+                jacobi_eigenvalues(a)
 
-    def test_rejects_bad_tolerance(self, backend):
+    def test_rejects_bad_tolerance(self):
         for tol in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                jacobi_eigenvalues(np.eye(3), tol=tol, backend=backend)
+                jacobi_eigenvalues(np.eye(3), tol=tol)
 
-    def test_nonconvergence_reports_residual(self, backend):
+    def test_nonconvergence_reports_residual(self):
         a = rng_symmetric(30, 3)
         with pytest.raises(JacobiConvergenceError) as err:
-            jacobi_eigenvalues(a, max_sweeps=1, backend=backend)
+            jacobi_eigenvalues(a, max_sweeps=1)
         assert err.value.residual > 0
 
-    def test_input_not_mutated(self, backend):
+    def test_input_not_mutated(self):
         a = rng_symmetric(8, 4)
         before = a.copy()
-        jacobi_eigenvalues(a, backend=backend)
+        jacobi_eigenvalues(a)
         assert np.array_equal(a, before)
 
-    def test_trace_consistency(self, backend):
+    def test_trace_consistency(self):
         for n in (5, 30, 80):
             m = lcm_matrix(IntegerSet.first_n(n))
-            spec = jacobi_eigenvalues(m, backend=backend)
+            spec = jacobi_eigenvalues(m)
             scale = 1e-8 * n * np.max(np.abs(m.entries))
             assert abs(sum(spec.eigenvalues) - np.trace(m.entries)) < scale
             assert abs(
@@ -127,45 +136,45 @@ class TestSolverContract:
 @by_backend
 class TestSpectrumProperties:
     @pytest.mark.parametrize("n", list(range(2, 61, 7)) + [60])
-    def test_cauchy_interlacing(self, backend, n):
+    def test_cauchy_interlacing(self, n):
         # leading principal (n-1) x (n-1) submatrix interlaces the full spectrum
         for build in (gcd_matrix, lcm_matrix):
-            full = jacobi_eigenvalues(build(IntegerSet.first_n(n)), backend=backend)
+            full = jacobi_eigenvalues(build(IntegerSet.first_n(n)))
             sub_entries = build(IntegerSet.first_n(n)).entries[: n - 1, : n - 1]
-            sub = jacobi_eigenvalues(np.array(sub_entries), backend=backend)
+            sub = jacobi_eigenvalues(np.array(sub_entries))
             lam, mu = full.eigenvalues, sub.eigenvalues
             tol = 1e-9 * max(abs(v) for v in lam)
             for k in range(n - 1):
                 assert lam[k] <= mu[k] + tol
                 assert mu[k] <= lam[k + 1] + tol
 
-    def test_diagonal_bracketing(self, backend):
+    def test_diagonal_bracketing(self):
         for n in (4, 25, 70):
             for build in (gcd_matrix, lcm_matrix):
                 m = build(IntegerSet.first_n(n))
-                spec = jacobi_eigenvalues(m, backend=backend)
+                spec = jacobi_eigenvalues(m)
                 assert spec.min <= min(m.diagonal())
                 assert spec.max >= max(m.diagonal())
                 # gcd diagonal runs 1..n, so the spread is at least n-1
                 if build is gcd_matrix:
                     assert spec.max - spec.min >= n - 1
 
-    def test_spread_exceeds_twice_max_offdiagonal(self, backend):
+    def test_spread_exceeds_twice_max_offdiagonal(self):
         for n in (5, 40):
             m = lcm_matrix(IntegerSet.first_n(n))
-            spec = jacobi_eigenvalues(m, backend=backend)
+            spec = jacobi_eigenvalues(m)
             off = m.entries - np.diag(m.diagonal())
             assert spec.max - spec.min >= 2 * np.max(np.abs(off))
             assert spec.max - spec.min >= 2 * n * (n - 1)
 
-    def test_gcd_positive_definite(self, backend):
+    def test_gcd_positive_definite(self):
         for n in (2, 17, 60):
-            spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(n)), backend=backend)
+            spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(n)))
             assert spec.min > 0
 
-    def test_eigenvalue_product_is_totient_product(self, backend):
+    def test_eigenvalue_product_is_totient_product(self):
         for n in (4, 10, 25):
-            spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(n)), backend=backend)
+            spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(n)))
             det = float(np.prod(spec.eigenvalues))
             expected = smith_determinant(n)
             assert det == pytest.approx(expected, rel=1e-6)
@@ -173,17 +182,17 @@ class TestSpectrumProperties:
 
 @by_backend
 class TestSpectralSummary:
-    def test_gcd_s2_exact(self, backend):
+    def test_gcd_s2_exact(self):
         summary = spectral_summary(gcd_matrix(IntegerSet.of(1, 2)))
         assert summary.exact
         assert summary.m == pytest.approx(1.5)
         assert float(summary.s_squared) == pytest.approx(1.25)
 
-    def test_lcm_s2_exact(self, backend):
+    def test_lcm_s2_exact(self):
         summary = spectral_summary(lcm_matrix(IntegerSet.of(1, 2)))
         assert float(summary.s_squared) == pytest.approx(4.25)
 
-    def test_identity_matrix_summary(self, backend):
+    def test_identity_matrix_summary(self):
         from smith_spectra.matrices import SymMatrix
 
         n = 6
@@ -194,7 +203,7 @@ class TestSpectralSummary:
         assert summary.m == 1
         assert summary.s_squared == 0
 
-    def test_all_ones_matrix_summary(self, backend):
+    def test_all_ones_matrix_summary(self):
         from smith_spectra.matrices import power_gcd_matrix
 
         m = power_gcd_matrix(IntegerSet.of(2, 3, 5, 7), 0.0)  # all-ones matrix
@@ -233,7 +242,7 @@ class TestStackKernel:
             single = stack[k].copy()
             assert (sweeps[k], off[k]) == _jacobi_py.cyclic_jacobi(single, 1e-12, 100)
             assert np.array_equal(rotated[k], single)
-            assert tuple(values[k]) == jacobi_eigenvalues(stack[k], backend="python").eigenvalues
+            assert tuple(values[k]) == jacobi_eigenvalues(stack[k]).eigenvalues
 
     def test_diagonal_slices_take_no_sweep(self):
         stack = np.array([np.diag([3.0, -1.0, 2.0]), [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0],
@@ -246,7 +255,7 @@ class TestStackKernel:
         with pytest.raises(JacobiConvergenceError) as err:
             jacobi_eigenvalues_stack(stack, max_sweeps=1)
         with pytest.raises(JacobiConvergenceError) as single:
-            jacobi_eigenvalues(stack[1], max_sweeps=1, backend="python")
+            jacobi_eigenvalues(stack[1], max_sweeps=1)
         assert (err.value.sweeps, err.value.residual, err.value.target) == (
             single.value.sweeps, single.value.residual, single.value.target)
 
