@@ -2,7 +2,8 @@
 
 The package builds gcd, lcm and related matrices on sets of positive
 integers, computes their spectra with a self-contained cyclic Jacobi
-eigensolver (one numpy kernel), evaluates the exact arithmetical closed
+eigensolver (its sweep in C where a compiler is found, else in numpy, with
+bit-identical results), evaluates the exact arithmetical closed
 forms for the trace statistics m and s^2, and produces the associated
 eigenvalue bounds, comparison intervals and exact inertia tables.
 """

@@ -1,0 +1,109 @@
+"""The cyclic-Jacobi kernel with its sweep in C: the ``"c"`` backend of
+:mod:`smith_spectra.eig`.
+
+``_jacobi_c.c`` runs the rotations of one sweep, in the numpy sweep's
+order and with its formulas (``math.hypot`` included), so every result is
+bit-identical to :mod:`smith_spectra._jacobi_py`; the convergence loops
+are that module's, with this sweep passed in.
+
+On import the C file is compiled with ``cc`` into the package's
+``__pycache__``, under a name keyed by a checksum of the source and the
+flags, and loaded with ctypes. A build goes to a temporary name and is
+renamed into place, so a half-written library is never loaded. Where
+there is no compiler, the directory is not writable, or the compile or
+the load fails, :data:`LIBRARY` is None and :mod:`smith_spectra.eig`
+runs the numpy kernel instead, without a message.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import zlib
+from pathlib import Path
+
+import numpy as np
+
+from smith_spectra import _jacobi_py
+
+SOURCE = Path(__file__).with_name("_jacobi_c.c")
+CACHE = SOURCE.with_name("__pycache__")
+# never -ffast-math, and no contraction into fused multiply-adds: either
+# would round differently from numpy
+FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def library_path(source: Path, cache: Path) -> Path:
+    """Where the library built from ``source`` with :data:`FLAGS` lives."""
+    digest = zlib.crc32(source.read_bytes() + " ".join(FLAGS).encode())
+    return cache / f"{source.stem}-{digest:08x}.so"
+
+
+def _compile(source: Path, target: Path) -> None:
+    """Build ``target`` from ``source`` unless it is there; raises OSError
+    on any failure, leaving nothing at ``target``."""
+    if target.exists():
+        return
+    import subprocess  # only a build needs it
+
+    target.parent.mkdir(exist_ok=True)
+    partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        # creating it first finds an unwritable directory before cc runs
+        partial.touch()
+        subprocess.run(["cc", *FLAGS, "-o", str(partial), str(source), "-lm"],
+                       stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL, check=True, timeout=300)
+        os.replace(partial, target)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"cc failed on {source}") from exc
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def load(source: Path = SOURCE, cache: Path = CACHE) -> ctypes.CDLL | None:
+    """The sweep library built from ``source``, or None where it cannot be
+    built or loaded."""
+    try:
+        target = library_path(source, cache)
+        _compile(source, target)
+        lib = ctypes.CDLL(str(target))
+        lib.jacobi_sweep.argtypes = (ctypes.c_void_p, ctypes.c_int)
+        lib.jacobi_sweep_stack.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_int)
+        lib.py_hypot.argtypes = (ctypes.c_double, ctypes.c_double)
+    except (OSError, AttributeError):  # AttributeError: a symbol is missing
+        return None
+    lib.jacobi_sweep.restype = lib.jacobi_sweep_stack.restype = None
+    lib.py_hypot.restype = ctypes.c_double
+    return lib
+
+
+LIBRARY = load()
+
+
+def _checked(a: np.ndarray, ndim: int) -> np.ndarray:
+    if not (a.dtype == np.float64 and a.ndim == ndim and a.flags.c_contiguous
+            and a.flags.writeable and a.shape[-1] == a.shape[-2]):
+        raise ValueError("the C sweep needs a writable C-contiguous float64 "
+                         f"array of square matrices, got {a.dtype} {a.shape}")
+    return a
+
+
+def _sweep(a: np.ndarray) -> None:
+    LIBRARY.jacobi_sweep(a.ctypes.data, a.shape[0])
+
+
+def _sweep_stack(w: np.ndarray) -> None:
+    LIBRARY.jacobi_sweep_stack(w.ctypes.data, w.shape[0], w.shape[1])
+
+
+def cyclic_jacobi(a: np.ndarray, tol: float, max_sweeps: int) -> tuple[int, float]:
+    """:func:`smith_spectra._jacobi_py.cyclic_jacobi`, with the C sweep."""
+    return _jacobi_py.converge(_checked(a, 2), tol, max_sweeps, _sweep)
+
+
+def cyclic_jacobi_stack(a: np.ndarray, tol: float,
+                        max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`smith_spectra._jacobi_py.cyclic_jacobi_stack`, with the C
+    sweep; every running stack the loop passes it is C-contiguous."""
+    return _jacobi_py.converge_stack(_checked(a, 3), tol, max_sweeps, _sweep_stack)

@@ -1,7 +1,12 @@
 """Symmetric eigensolver and trace statistics.
 
-The solver is a self-contained cyclic Jacobi iteration, the numpy kernel
-in :mod:`smith_spectra._jacobi_py`; it is the one backend, ``"python"``.
+The solver is a self-contained cyclic Jacobi iteration. Its convergence
+loop is :mod:`smith_spectra._jacobi_py`'s, in numpy; the rotations of
+each sweep run in C (backend ``"c"``, :mod:`smith_spectra._jacobi_c`,
+compiled on first import) where a C compiler is found, and in numpy
+(backend ``"python"``) otherwise. Both give bit-identical results, and
+nothing selects between them: :func:`default_backend` names the one that
+runs.
 The tolerance lives here only: ``jacobi_eigenvalues`` and
 ``jacobi_eigenvalues_stack`` take ``tol`` (default :data:`DEFAULT_TOL`)
 and validate it, every caller above this module uses the default, and
@@ -19,19 +24,27 @@ from math import isfinite, sqrt
 import numpy as np
 
 from smith_spectra.matrices import SymMatrix, _frobenius_norm
-from smith_spectra import _jacobi_py
+from smith_spectra import _jacobi_c, _jacobi_py
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 100
 
 
+# the kernel module the solvers call, looked up at call time
+_kernel = _jacobi_c if _jacobi_c.LIBRARY is not None else _jacobi_py
+
+
 def available_backends() -> dict[str, object]:
-    """Kernel modules keyed by backend name: the numpy kernel only."""
-    return {"python": _jacobi_py}
+    """Kernel modules keyed by backend name: the C sweep where it was
+    built, and the numpy kernel."""
+    if _jacobi_c.LIBRARY is None:
+        return {"python": _jacobi_py}
+    return {"c": _jacobi_c, "python": _jacobi_py}
 
 
 def default_backend() -> str:
-    return "python"
+    """The name of the kernel that the solvers run."""
+    return "c" if _kernel is _jacobi_c else "python"
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -126,7 +139,7 @@ def jacobi_eigenvalues(
     """
     _check_tolerance(tol)
     work, fro = _as_array(a)
-    sweeps, off = _jacobi_py.cyclic_jacobi(work, tol, max_sweeps)
+    sweeps, off = _kernel.cyclic_jacobi(work, tol, max_sweeps)
     if off > tol * fro:
         raise JacobiConvergenceError(sweeps, off, tol * fro)
     values = np.sort(np.diagonal(work))
@@ -160,7 +173,7 @@ def jacobi_eigenvalues_stack(
     bad = np.flatnonzero(~(work == work.transpose(0, 2, 1)).all(axis=(1, 2)))
     if bad.size:
         raise ValueError(f"matrix {bad[0]} of the stack is not symmetric")
-    sweeps, off = _jacobi_py.cyclic_jacobi_stack(work, tol, max_sweeps)
+    sweeps, off = _kernel.cyclic_jacobi_stack(work, tol, max_sweeps)
     target = tol * fro
     failed = np.flatnonzero(off > target)
     if failed.size:

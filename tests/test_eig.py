@@ -1,7 +1,8 @@
 """Solver tests: exact 2x2 spectra, an independent LAPACK oracle
 (numpy.linalg.eigvalsh) for larger matrices, the structural spectrum
 properties (trace consistency, interlacing, determinant), and the
-stack kernel against the per-matrix numpy kernel, bit for bit."""
+stack kernel against the per-matrix numpy kernel, bit for bit. The solver
+tests run once through each kernel that exists."""
 
 from math import sqrt
 
@@ -10,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smith_spectra import _jacobi_py
+from smith_spectra import _jacobi_py, eig
 from smith_spectra.arith import smith_determinant
 from smith_spectra.eig import (
     JacobiConvergenceError,
     available_backends,
-    default_backend,
     jacobi_eigenvalues,
     jacobi_eigenvalues_stack,
     spectral_summary,
@@ -24,10 +24,10 @@ from smith_spectra.matrices import IntegerSet, gcd_matrix, lcm_matrix
 
 
 @pytest.fixture
-def backend(request):
-    """Each kernel that exists. There is one, and jacobi_eigenvalues runs
-    it; a second kernel fails here until its solves are routed through it."""
-    assert request.param == default_backend()
+def backend(request, monkeypatch):
+    """Each kernel that exists, made the one the solvers run."""
+    monkeypatch.setattr(eig, "_kernel", available_backends()[request.param])
+    assert eig.default_backend() == request.param
 
 
 def by_backend(cls):

@@ -1,5 +1,7 @@
-"""Packaging: pyproject.toml alone declares the package and its console
-script; there is no setup.py and no extension source."""
+"""Packaging: pyproject.toml alone declares the package, its console
+script and the C sweep source it ships as package data; there is no
+setup.py and no build step, and a compiled sweep lives only in a
+``__pycache__`` directory."""
 
 import subprocess
 import sys
@@ -27,6 +29,8 @@ def test_egg_info_from_pyproject_alone(tmp_path):
     modules = {p.relative_to(ROOT).as_posix()
                for p in (ROOT / "src" / "smith_spectra").glob("*.py")}
     assert modules <= sources
+    assert "src/smith_spectra/_jacobi_c.c" in sources
     assert not [s for s in sources if s.endswith(".pyx")]
     # the metadata went to tmp_path, nothing into the tree
     assert _entries() == before
+    assert [p for p in ROOT.rglob("*.so") if p.parent.name != "__pycache__"] == []
