@@ -9,7 +9,8 @@ are that module's, with this sweep passed in.
 On import the C file is compiled with ``cc`` into the package's
 ``__pycache__``, under a name keyed by a checksum of the source and the
 flags, and loaded with ctypes. A build goes to a temporary name and is
-renamed into place, so a half-written library is never loaded. Where
+renamed into place, so a half-written library is never loaded, and it
+deletes the libraries built from older versions of the source. Where
 there is no compiler, the directory is not writable, or the compile or
 the load fails, :data:`LIBRARY` is None and :mod:`smith_spectra.eig`
 runs the numpy kernel instead, without a message.
@@ -17,6 +18,7 @@ runs the numpy kernel instead, without a message.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import zlib
@@ -41,7 +43,8 @@ def library_path(source: Path, cache: Path) -> Path:
 
 def _compile(source: Path, target: Path) -> None:
     """Build ``target`` from ``source`` unless it is there; raises OSError
-    on any failure, leaving nothing at ``target``."""
+    on any failure, leaving nothing at ``target``. After a build, the
+    libraries of older sources beside it are deleted."""
     if target.exists():
         return
     import subprocess  # only a build needs it
@@ -59,6 +62,10 @@ def _compile(source: Path, target: Path) -> None:
         raise OSError(f"cc failed on {source}") from exc
     finally:
         partial.unlink(missing_ok=True)
+    for stale in target.parent.glob(f"{source.stem}-*.so"):
+        if stale != target:
+            with contextlib.suppress(OSError):  # the new build loads anyway
+                stale.unlink()
 
 
 def load(source: Path = SOURCE, cache: Path = CACHE) -> ctypes.CDLL | None:

@@ -14,8 +14,9 @@ Families:
 * Mattila-Haukkanen interval for mixed-power matrices, from the largest
   eigenvalue of the divisibility Gram matrix and Jordan totient maxima.
 * Hong-Lee upper bounds for reciprocal lcm matrices.
-* Hong's constant c_n (exhaustive over unit lower-triangular 0/1 Gram
-  matrices) with its smallest-eigenvalue lower bound.
+* Hong's constant c_n (the minimum over unit lower-triangular 0/1 Gram
+  matrices, by a branch and bound on the exact certificate
+  lambda_min >= 1/||Y^-1||_F^2) with its smallest-eigenvalue lower bound.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import numpy as np
 
 from smith_spectra import arith
 from smith_spectra.eig import (
+    DEFAULT_MAX_SWEEPS,
+    DEFAULT_TOL,
     Spectrum,
     SpectralSummary,
     jacobi_eigenvalues,
@@ -43,9 +46,8 @@ METHOD_LCM = "improved_lcm"
 # the plain Wolkowicz-Styan bounds, which are equalities there.
 WS_FALLBACK_FLAG = "ws_equality"
 
-# matrices per stack in hong_cn; it sets the memory, never the result.
-# At n = 6, 512 kept the peak RSS within 3% of one solve at a time, and
-# 1,024 went 6% over it for about 10% less time.
+# matrices per chunk of hong_cn's certificates, and the most it solves in
+# one stack; it sets the memory, never the result
 HONG_CHUNK = 512
 
 
@@ -249,40 +251,119 @@ def hong_lee_bounds(s: IntegerSet, r: float, k: int) -> tuple[float, float]:
     return mean_bound, kth_bound
 
 
-def hong_cn(n: int, cap: int = 6) -> HongConstant:
-    """Hong's constant c_n by exhaustion over all 2^(n(n-1)/2) unit
-    lower-triangular 0/1 matrices Y, minimizing the smallest eigenvalue of
-    Y Y^T. Exponential, hence capped (n = 6 already means 32768 solves).
+def _unit_lower(n: int, patterns: np.ndarray) -> np.ndarray:
+    """The unit lower-triangular 0/1 matrices Y of order n with the given
+    pattern numbers, as an int64 (n, n, B) array: Y_k is ``[:, :, k]``.
 
-    The matrices are taken in ``itertools.product`` order over the
-    below-diagonal positions, row by row, and solved HONG_CHUNK at a time
-    as one stack; the witness is the first Y that attains the minimum.
+    Bit j of a pattern, counted from the most significant, fills the j-th
+    below-diagonal position, row by row, so the patterns 0, 1, 2, ... are
+    the matrices in ``itertools.product`` order. The batch axis is last so
+    that every elementwise step below runs over B contiguous entries.
+    """
+    rows, cols = np.tril_indices(n, -1)
+    shifts = np.arange(rows.size - 1, -1, -1)
+    diagonal = np.arange(n)
+    y = np.zeros((n, n, patterns.size), dtype=np.int64)
+    y[diagonal, diagonal] = 1
+    y[rows, cols] = (patterns >> shifts[:, None]) & 1
+    return y
+
+
+def _inverse_unit_lower(y: np.ndarray) -> np.ndarray:
+    """Y^-1 of every unit lower-triangular integer matrix of the (n, n, B)
+    int64 array, exactly, by forward substitution: row i of X = Y^-1 is
+    e_i minus the sum over j < i of Y_ij times row j of X."""
+    x = np.zeros_like(y)
+    for i in range(y.shape[0]):
+        x[i, i] = 1
+        x[i, :i] = -(y[i, :i, None] * x[:i, :i]).sum(axis=0)
+    return x
+
+
+def _trace_certificates(n: int) -> np.ndarray:
+    """T_k = ||Y_k^-1||_F^2 for every pattern k of order n, in pattern
+    order, as int64; built HONG_CHUNK patterns at a time."""
+    count = 1 << (n * (n - 1) // 2)
+    certificates = np.empty(count, dtype=np.int64)
+    for start in range(0, count, HONG_CHUNK):
+        patterns = np.arange(start, min(start + HONG_CHUNK, count))
+        x = _inverse_unit_lower(_unit_lower(n, patterns))
+        certificates[start:start + patterns.size] = (x * x).sum(axis=(0, 1))
+    return certificates
+
+
+def _hong_margin(n: int) -> float:
+    """A bound on |Jacobi lambda_min(Z) - lambda_min(Z)| for every Gram
+    matrix Z = Y Y^T of order n that :func:`jacobi_eigenvalues_stack`
+    solves with its defaults.
+
+    The solver stops once the off-diagonal Frobenius norm is at most
+    DEFAULT_TOL * ||Z||_F, so by Weyl's inequality the diagonal it returns
+    is that far from the spectrum of the rotated matrix. The rotations
+    themselves are orthogonal similarities computed in floating point; over
+    at most DEFAULT_MAX_SWEEPS sweeps they move the spectrum by a term of
+    order DEFAULT_MAX_SWEEPS * n * eps * ||Z||_F (Demmel & Veselic, SIMAX
+    13, 1992). Every entry of Z counts the ones two rows of Y share, so it
+    is at most n and ||Z||_F <= n^2. The sum of both terms is taken 100
+    times over.
+    """
+    norm = n * n
+    weyl = DEFAULT_TOL * norm
+    rounding = DEFAULT_MAX_SWEEPS * n * float(np.finfo(np.float64).eps) * norm
+    return 100.0 * (weyl + rounding)
+
+
+def hong_cn(n: int, cap: int = 6) -> HongConstant:
+    """Hong's constant c_n: the smallest eigenvalue of Y Y^T minimized over
+    all 2^(n(n-1)/2) unit lower-triangular 0/1 matrices Y, with the first Y
+    in ``itertools.product`` order over the below-diagonal positions, row
+    by row, that attains it as the witness. Exponential in n, hence capped.
+
+    The search is a branch and bound on an exact certificate. Y Y^T is
+    positive definite, so lambda_min(Y Y^T) = 1 / lambda_max(Y^-T Y^-1)
+    >= 1 / tr(Y^-T Y^-1) = 1 / T with T = ||Y^-1||_F^2, and Y^-1 is an
+    integer matrix, so T is computed exactly for every Y. The matrices are
+    solved in order of decreasing T (ties in pattern order), a few at a
+    time, and the search stops at the first Y whose 1/T exceeds the best
+    solved value plus :func:`_hong_margin`; that comparison is made in
+    exact rationals. Every Y left unsolved then has a solver value above
+    the best one, so c_n and the witness are those of solving all of them
+    (at n = 6 one solve instead of 32768: after the witness, T = 70, the
+    next certificate is 1/61 = 0.0164 against c_6 = 0.0148).
     """
     if n < 2:
         raise ValueError(f"c_n needs n >= 2, got {n}")
     if n > cap:
+        m = n * (n - 1) // 2
         raise ValueError(
-            f"c_{n} needs 2^{n * (n - 1) // 2} eigensolves; capped at n = {cap} "
+            f"c_{n} must certify 2^{m} = {1 << m} matrices; capped at n = {cap} "
             f"(raise the cap explicitly to go further)"
         )
-    rows, cols = np.tril_indices(n, -1)
-    # bit j of pattern k, counted from the most significant, fills position j
-    shifts = np.arange(rows.size - 1, -1, -1)
-    diagonal = np.arange(n)
-    best: float | None = None
-    witness: np.ndarray | None = None
-    count = 1 << rows.size
-    for start in range(0, count, HONG_CHUNK):
-        patterns = np.arange(start, min(start + HONG_CHUNK, count))
-        y = np.zeros((patterns.size, n, n))
-        y[:, diagonal, diagonal] = 1.0
-        y[:, rows, cols] = (patterns[:, None] >> shifts) & 1
-        # 0/1 entries: every entry of Y Y^T is a small integer, computed exactly
+    certificates = _trace_certificates(n)
+    # weakest certificate first; a stable sort keeps ties in pattern order
+    order = np.argsort(-certificates, kind="stable")
+    negated = -certificates[order]  # ascending, for searchsorted
+    margin = Fraction(_hong_margin(n))
+    best = witness = None
+    solved, limit, size = 0, order.size, 1
+    while solved < limit:
+        batch = order[solved:min(solved + size, limit)]
+        y = _unit_lower(n, batch).transpose(2, 0, 1)
+        # integer entries: Y Y^T is exact, and so is its float64 copy
         smallest = jacobi_eigenvalues_stack(y @ y.transpose(0, 2, 1))[:, 0]
-        i = int(np.argmin(smallest))
-        if best is None or smallest[i] < best:
-            best, witness = float(smallest[i]), y[i]
-    return HongConstant(n, best, tuple(tuple(int(v) for v in row) for row in witness))
+        for value, pattern in zip(smallest.tolist(), batch.tolist()):
+            if best is None or (value, pattern) < (best, witness):
+                best, witness = value, pattern
+        solved += batch.size
+        size = min(2 * size, HONG_CHUNK)
+        # Y_k is pruned once 1/T_k > best + margin; those with
+        # T_k >= ceil(1 / (best + margin)) are a prefix of the order
+        bound = Fraction(best) + margin
+        if bound > 0:
+            keep = -(-bound.denominator // bound.numerator)
+            limit = min(limit, int(np.searchsorted(negated, -keep, side="right")))
+    y = _unit_lower(n, np.array([witness]))[:, :, 0]
+    return HongConstant(n, best, tuple(tuple(int(v) for v in row) for row in y))
 
 
 def hong_lower_bound(s: IntegerSet, f_table: arith.ArithTable, c_n: float) -> float:

@@ -4,15 +4,22 @@ traces; golden constants for the small-order cross terms are recomputed
 from the solver rather than hard-coded."""
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import sqrt
 
 import numpy as np
 import pytest
 
+from smith_spectra import bounds
 from smith_spectra.arith import power_table, sieve_totient, zeta_table
 from smith_spectra.bounds import (
     WS_FALLBACK_FLAG,
     BoundsReport,
+    _hong_margin,
+    _inverse_unit_lower,
+    _trace_certificates,
+    _unit_lower,
     closed_form_summary,
     gcd_bounds,
     hong_cn,
@@ -22,7 +29,12 @@ from smith_spectra.bounds import (
     mh_interval,
     ws_bounds,
 )
-from smith_spectra.eig import SpectralSummary, jacobi_eigenvalues, spectral_summary
+from smith_spectra.eig import (
+    SpectralSummary,
+    jacobi_eigenvalues,
+    jacobi_eigenvalues_stack,
+    spectral_summary,
+)
 from smith_spectra.matrices import (
     IntegerSet,
     gcd_matrix,
@@ -33,6 +45,20 @@ from smith_spectra.matrices import (
 
 def solve(matrix):
     return jacobi_eigenvalues(matrix)
+
+
+@lru_cache(maxsize=None)
+def _hong_exhaustive(n):
+    """Every unit lower-triangular 0/1 Y of order n in itertools.product
+    order over the below-diagonal positions, row by row, as a (B, n, n)
+    stack, with lambda_min(Y Y^T) from the solver and from eigvalsh."""
+    positions = [(i, j) for i in range(1, n) for j in range(i)]
+    y = np.array([np.eye(n, dtype=np.int64)] * (1 << len(positions)))
+    for k, bits in enumerate(product((0, 1), repeat=len(positions))):
+        for bit, (i, j) in zip(bits, positions):
+            y[k, i, j] = bit
+    gram = (y @ y.transpose(0, 2, 1)).astype(np.float64)
+    return (jacobi_eigenvalues_stack(gram)[:, 0], np.linalg.eigvalsh(gram)[:, 0], y)
 
 
 class TestWolkowiczStyan:
@@ -244,8 +270,6 @@ class TestHongConstant:
 
     def test_c3_matches_independent_exhaustion(self):
         # oracle: same exhaustion, but LAPACK eigenvalues
-        from itertools import product
-
         best = min(
             np.linalg.eigvalsh(y @ y.T)[0]
             for bits in product((0, 1), repeat=3)
@@ -266,7 +290,7 @@ class TestHongConstant:
         assert jacobi_eigenvalues(y @ y.T).min == pytest.approx(const.c_n, abs=1e-12)
 
     def test_rejects_out_of_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"c_7 must certify 2\^21 = 2097152 matrices"):
             hong_cn(7)
 
     def test_c6_and_witness_pinned(self):
@@ -281,25 +305,68 @@ class TestHongConstant:
             (1, 0, 1, 0, 1, 1),
         )
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_equals_per_matrix_solves(self, n):
-        # reference: one jacobi_eigenvalues call per Y, in itertools.product
-        # order over the below-diagonal positions, first minimum kept
-        from itertools import product
-
-        positions = [(i, j) for i in range(1, n) for j in range(i)]
-        best = witness = None
-        for bits in product((0, 1), repeat=len(positions)):
-            y = np.eye(n)
-            for bit, (i, j) in zip(bits, positions):
-                y[i, j] = bit
-            smallest = jacobi_eigenvalues(y @ y.T).min
-            if best is None or smallest < best:
-                best, witness = smallest, tuple(tuple(int(v) for v in row) for row in y)
+        # reference: every Y solved, in itertools.product order over the
+        # below-diagonal positions, first minimum kept (the stack's rows
+        # are the per-matrix solves bit for bit)
+        smallest, _, y = _hong_exhaustive(n)
+        first = int(np.argmin(smallest))
         const = hong_cn(n)
-        assert (const.c_n, const.witness) == (best, witness)
+        assert const.c_n == float(smallest[first])
+        assert const.witness == tuple(tuple(int(v) for v in row) for row in y[first])
         with pytest.raises(ValueError):
             hong_cn(1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_inverse_is_exact_and_certifies_the_smallest_eigenvalue(self, n):
+        _, reference, y = _hong_exhaustive(n)
+        stack = _unit_lower(n, np.arange(y.shape[0]))
+        assert np.array_equal(stack.transpose(2, 0, 1), y)
+        inverse = _inverse_unit_lower(stack)
+        identity = np.einsum("ijb,jkb->ikb", stack, inverse)
+        assert identity.dtype == np.int64
+        assert np.array_equal(identity, np.broadcast_to(np.eye(n, dtype=np.int64)[:, :, None],
+                                                        identity.shape))
+        certificates = _trace_certificates(n)
+        assert np.array_equal(certificates, (inverse * inverse).sum(axis=(0, 1)))
+        assert np.all(1.0 / certificates <= reference)
+
+    @staticmethod
+    def _solved_patterns(n, monkeypatch):
+        """The pattern numbers of the matrices hong_cn(n) solves, in the
+        order solved (Z = Y Y^T fixes the unit lower-triangular Y)."""
+        _, _, y = _hong_exhaustive(n)
+        pattern_of = {g.tobytes(): k for k, g in
+                      enumerate((y @ y.transpose(0, 2, 1)).astype(np.float64))}
+        solved = []
+
+        def recording(stack, *args, **kwargs):
+            solved.extend(pattern_of[np.asarray(g, np.float64).tobytes()] for g in stack)
+            return jacobi_eigenvalues_stack(stack, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "jacobi_eigenvalues_stack", recording)
+        return hong_cn(n), solved
+
+    @pytest.mark.parametrize("n,count", [(2, 1), (3, 1), (4, 2), (5, 1), (6, 1)])
+    def test_number_of_solves(self, n, count, monkeypatch):
+        _, solved = self._solved_patterns(n, monkeypatch)
+        assert len(solved) == count, f"hong_cn({n}) solved {len(solved)} matrices"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_unsolved_matrix_is_excluded_by_its_certificate(self, n, monkeypatch):
+        const, solved = self._solved_patterns(n, monkeypatch)
+        assert len(set(solved)) == len(solved)
+        cutoff = Fraction(const.c_n) + Fraction(_hong_margin(n))
+        certificates = _trace_certificates(n)
+        unsolved = np.setdiff1d(np.arange(certificates.size), solved)
+        assert all(Fraction(1, int(certificates[k])) > cutoff for k in unsolved)
+
+
+    def test_margin_exceeds_the_solver_error(self):
+        smallest, reference, _ = _hong_exhaustive(6)
+        error = float(np.max(np.abs(smallest - reference)))
+        assert error < _hong_margin(6)
 
 
 class TestHongLowerBound:

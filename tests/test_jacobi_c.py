@@ -146,6 +146,24 @@ def test_clean_copy_builds_the_c_kernel(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "")
 
 
+@needs_c
+def test_build_removes_libraries_of_older_sources(tmp_path):
+    # what an edit of _jacobi_c.c used to leave behind: the build of the
+    # old source beside the new one
+    copy = _package_copy(tmp_path)
+    cache = copy / "__pycache__"
+    cache.mkdir()
+    stale = cache / "_jacobi_c-00000000.so"
+    stale.write_bytes(b"\x7fELF, an older build\n")
+    other = cache / "other-00000000.so"
+    other.write_bytes(b"not ours")
+    proc = _run_child(tmp_path, os.environ.get("PATH", os.defpath))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "")
+    target = _jacobi_c.library_path(copy / "_jacobi_c.c", cache)
+    assert sorted(cache.glob("_jacobi_c-*")) == [target]
+    assert other.read_bytes() == b"not ours"
+
+
 def test_no_compiler_falls_back_to_numpy(tmp_path):
     _package_copy(tmp_path)
     empty = tmp_path / "bin"
