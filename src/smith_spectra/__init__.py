@@ -41,7 +41,6 @@ from smith_spectra.eig import (
     Spectrum,
     default_backend,
     jacobi_eigenvalues,
-    jacobi_eigenvalues_stack,
     spectral_summary,
 )
 from smith_spectra.bounds import (

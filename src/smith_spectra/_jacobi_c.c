@@ -106,11 +106,3 @@ void jacobi_sweep(double *a, int n)
         }
     }
 }
-
-/* One sweep over each of the count matrices of the C-contiguous
-   (count, n, n) stack a, in place. */
-void jacobi_sweep_stack(double *a, long count, int n)
-{
-    for (long i = 0; i < count; i++)
-        jacobi_sweep(a + (size_t)i * n * n, n);
-}

@@ -3,8 +3,8 @@
 
 ``_jacobi_c.c`` runs the rotations of one sweep, in the numpy sweep's
 order and with its formulas (``math.hypot`` included), so every result is
-bit-identical to :mod:`smith_spectra._jacobi_py`; the convergence loops
-are that module's, with this sweep passed in.
+bit-identical to :mod:`smith_spectra._jacobi_py`; the convergence loop
+is that module's, with this sweep passed in.
 
 On import the C file is compiled with ``cc`` into the package's
 ``__pycache__``, under a name keyed by a checksum of the source and the
@@ -76,11 +76,10 @@ def load(source: Path = SOURCE, cache: Path = CACHE) -> ctypes.CDLL | None:
         _compile(source, target)
         lib = ctypes.CDLL(str(target))
         lib.jacobi_sweep.argtypes = (ctypes.c_void_p, ctypes.c_int)
-        lib.jacobi_sweep_stack.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_int)
         lib.py_hypot.argtypes = (ctypes.c_double, ctypes.c_double)
     except (OSError, AttributeError):  # AttributeError: a symbol is missing
         return None
-    lib.jacobi_sweep.restype = lib.jacobi_sweep_stack.restype = None
+    lib.jacobi_sweep.restype = None
     lib.py_hypot.restype = ctypes.c_double
     return lib
 
@@ -88,11 +87,11 @@ def load(source: Path = SOURCE, cache: Path = CACHE) -> ctypes.CDLL | None:
 LIBRARY = load()
 
 
-def _checked(a: np.ndarray, ndim: int) -> np.ndarray:
-    if not (a.dtype == np.float64 and a.ndim == ndim and a.flags.c_contiguous
-            and a.flags.writeable and a.shape[-1] == a.shape[-2]):
+def _checked(a: np.ndarray) -> np.ndarray:
+    if not (a.dtype == np.float64 and a.ndim == 2 and a.flags.c_contiguous
+            and a.flags.writeable and a.shape[0] == a.shape[1]):
         raise ValueError("the C sweep needs a writable C-contiguous float64 "
-                         f"array of square matrices, got {a.dtype} {a.shape}")
+                         f"square matrix, got {a.dtype} {a.shape}")
     return a
 
 
@@ -100,17 +99,6 @@ def _sweep(a: np.ndarray) -> None:
     LIBRARY.jacobi_sweep(a.ctypes.data, a.shape[0])
 
 
-def _sweep_stack(w: np.ndarray) -> None:
-    LIBRARY.jacobi_sweep_stack(w.ctypes.data, w.shape[0], w.shape[1])
-
-
 def cyclic_jacobi(a: np.ndarray, tol: float, max_sweeps: int) -> tuple[int, float]:
     """:func:`smith_spectra._jacobi_py.cyclic_jacobi`, with the C sweep."""
-    return _jacobi_py.converge(_checked(a, 2), tol, max_sweeps, _sweep)
-
-
-def cyclic_jacobi_stack(a: np.ndarray, tol: float,
-                        max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`smith_spectra._jacobi_py.cyclic_jacobi_stack`, with the C
-    sweep; every running stack the loop passes it is C-contiguous."""
-    return _jacobi_py.converge_stack(_checked(a, 3), tol, max_sweeps, _sweep_stack)
+    return _jacobi_py.converge(_checked(a), tol, max_sweeps, _sweep)

@@ -1,16 +1,11 @@
-"""The cyclic-Jacobi kernel's convergence loops, and its numpy sweeps.
+"""The cyclic-Jacobi kernel's convergence loop, and its numpy sweep.
 
-``converge`` and ``converge_stack`` are the one convergence loop for a
-matrix and for a stack: the Frobenius and off-diagonal norms, the
-threshold test and the sweep count, all in numpy. Each takes the function
-that runs one row-cyclic sweep. Here that is the numpy sweep, whose
-rotations each update two rows and two columns with vector operations;
-:mod:`smith_spectra._jacobi_c` passes its C sweep to the same loops, so
-``off_norm`` and ``sweeps`` are the same whichever sweep ran.
-
-``cyclic_jacobi_stack`` runs the sweeps over a stack of equal-order
-matrices at once, one vector operation per rotation for the whole stack,
-with every slice bit-identical to ``cyclic_jacobi`` on that slice.
+``converge`` is the one convergence loop: the Frobenius and off-diagonal
+norms, the threshold test and the sweep count, all in numpy. It takes the
+function that runs one row-cyclic sweep. Here that is the numpy sweep,
+whose rotations each update two rows and two columns with vector
+operations; :mod:`smith_spectra._jacobi_c` passes its C sweep to the same
+loop, so ``off_norm`` and ``sweeps`` are the same whichever sweep ran.
 """
 
 from __future__ import annotations
@@ -19,10 +14,6 @@ from collections.abc import Callable
 from math import hypot, sqrt
 
 import numpy as np
-
-# math.hypot, not np.hypot: the two differ in the last bit on some inputs,
-# and the stack kernel must round exactly as cyclic_jacobi does
-_hypot = np.frompyfunc(hypot, 2, 1)
 
 
 def _frobenius_norm(a: np.ndarray) -> float:
@@ -88,97 +79,3 @@ def _sweep(a: np.ndarray) -> None:
 def cyclic_jacobi(a: np.ndarray, tol: float, max_sweeps: int) -> tuple[int, float]:
     """Run row-cyclic Jacobi sweeps in place; returns (sweeps_used, off_norm)."""
     return converge(a, tol, max_sweeps, _sweep)
-
-
-def _frobenius_norms(w: np.ndarray) -> np.ndarray:
-    """_frobenius_norm of every slice of a C-contiguous (B, n, n) stack, bit
-    for bit: a slice's n*n entries are summed in the same order either way."""
-    return np.sqrt((w * w).sum(axis=(1, 2)))
-
-
-def _off_diagonal_norms(w: np.ndarray) -> np.ndarray:
-    """_off_diagonal_norm of every slice, bit for bit."""
-    off = w.copy()
-    diag = np.arange(w.shape[1])
-    off[:, diag, diag] = 0.0
-    return np.sqrt((off * off).sum(axis=(1, 2)))
-
-
-def _rotate_stack(w: np.ndarray, p: int, q: int) -> None:
-    """One (p, q) rotation of cyclic_jacobi on every slice of w whose
-    a_pq is not zero; the other slices are left as they are."""
-    nonzero = w[:, p, q] != 0.0
-    if not nonzero.any():
-        return
-    rows = slice(None) if nonzero.all() else np.flatnonzero(nonzero)
-    # copies: the row and column writes below overwrite views of these
-    apq = w[rows, p, q].copy()
-    app = w[rows, p, p].copy()
-    aqq = w[rows, q, q].copy()
-    tau = (aqq - app) / (2.0 * apq)
-    root = _hypot(1.0, tau).astype(np.float64)
-    t = 1.0 / np.where(tau >= 0.0, tau + root, tau - root)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    row_p = w[rows, p, :].copy()
-    row_q = w[rows, q, :].copy()
-    c, s = c[:, None], s[:, None]
-    new_p = c * row_p - s * row_q
-    new_q = s * row_p + c * row_q
-    w[rows, p, :] = new_p
-    w[rows, :, p] = new_p
-    w[rows, q, :] = new_q
-    w[rows, :, q] = new_q
-    w[rows, p, p] = app - t * apq
-    w[rows, q, q] = aqq + t * apq
-    w[rows, p, q] = 0.0
-    w[rows, q, p] = 0.0
-
-
-def _sweep_stack(w: np.ndarray) -> None:
-    """One sweep of cyclic_jacobi over every slice of w, in place."""
-    n = w.shape[1]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            _rotate_stack(w, p, q)
-
-
-def converge_stack(a: np.ndarray, tol: float, max_sweeps: int,
-                   sweep_stack: Callable[[np.ndarray], None]
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """converge on every slice of the C-contiguous (B, n, n) stack ``a``
-    in place, with ``sweep_stack`` running one sweep over every slice of
-    a C-contiguous stack; returns (sweeps_used[B], off_norm[B]).
-
-    A slice stops rotating once its own off-diagonal norm has met its own
-    threshold, so each slice ends bit-identical to converge on it.
-    """
-    count, n = a.shape[0], a.shape[1]
-    off = _off_diagonal_norms(a)
-    sweeps = np.zeros(count, dtype=np.int64)
-    if n < 2:
-        return sweeps, off
-    threshold = tol * _frobenius_norms(a)
-    running = np.flatnonzero(~(off <= threshold))
-    work, limit = a[running], threshold[running]
-    for sweep in range(1, max_sweeps + 1):
-        if running.size == 0:
-            break
-        sweep_stack(work)
-        work_off = _off_diagonal_norms(work)
-        off[running] = work_off
-        sweeps[running] = sweep
-        done = work_off <= limit
-        if done.any():
-            a[running[done]] = work[done]
-            keep = ~done
-            running, work, limit = running[keep], work[keep], limit[keep]
-    a[running] = work
-    return sweeps, off
-
-
-def cyclic_jacobi_stack(a: np.ndarray, tol: float,
-                        max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run cyclic_jacobi on every slice of the C-contiguous (B, n, n) stack
-    ``a`` in place; returns (sweeps_used[B], off_norm[B])."""
-    return converge_stack(a, tol, max_sweeps, _sweep_stack)

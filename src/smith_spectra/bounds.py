@@ -34,7 +34,6 @@ from smith_spectra.eig import (
     Spectrum,
     SpectralSummary,
     jacobi_eigenvalues,
-    jacobi_eigenvalues_stack,
 )
 from smith_spectra.matrices import IntegerSet, divisibility_gram
 
@@ -46,9 +45,11 @@ METHOD_LCM = "improved_lcm"
 # the plain Wolkowicz-Styan bounds, which are equalities there.
 WS_FALLBACK_FLAG = "ws_equality"
 
-# matrices per chunk of hong_cn's certificates, and the most it solves in
-# one stack; it sets the memory, never the result
+# patterns per chunk of hong_cn's certificates; it sets the memory, never
+# the result
 HONG_CHUNK = 512
+# the largest order hong_cn takes: c_7 would need 2^21 certificates
+HONG_MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -294,8 +295,8 @@ def _trace_certificates(n: int) -> np.ndarray:
 
 def _hong_margin(n: int) -> float:
     """A bound on |Jacobi lambda_min(Z) - lambda_min(Z)| for every Gram
-    matrix Z = Y Y^T of order n that :func:`jacobi_eigenvalues_stack`
-    solves with its defaults.
+    matrix Z = Y Y^T of order n that :func:`jacobi_eigenvalues` solves
+    with its default sweep cap (its tolerance is always DEFAULT_TOL).
 
     The solver stops once the off-diagonal Frobenius norm is at most
     DEFAULT_TOL * ||Z||_F, so by Weyl's inequality the diagonal it returns
@@ -313,55 +314,46 @@ def _hong_margin(n: int) -> float:
     return 100.0 * (weyl + rounding)
 
 
-def hong_cn(n: int, cap: int = 6) -> HongConstant:
+def hong_cn(n: int) -> HongConstant:
     """Hong's constant c_n: the smallest eigenvalue of Y Y^T minimized over
     all 2^(n(n-1)/2) unit lower-triangular 0/1 matrices Y, with the first Y
     in ``itertools.product`` order over the below-diagonal positions, row
-    by row, that attains it as the witness. Exponential in n, hence capped.
+    by row, that attains it as the witness. Exponential in n, hence capped
+    at :data:`HONG_MAX_N`.
 
     The search is a branch and bound on an exact certificate. Y Y^T is
     positive definite, so lambda_min(Y Y^T) = 1 / lambda_max(Y^-T Y^-1)
     >= 1 / tr(Y^-T Y^-1) = 1 / T with T = ||Y^-1||_F^2, and Y^-1 is an
     integer matrix, so T is computed exactly for every Y. The matrices are
-    solved in order of decreasing T (ties in pattern order), a few at a
-    time, and the search stops at the first Y whose 1/T exceeds the best
-    solved value plus :func:`_hong_margin`; that comparison is made in
-    exact rationals. Every Y left unsolved then has a solver value above
-    the best one, so c_n and the witness are those of solving all of them
-    (at n = 6 one solve instead of 32768: after the witness, T = 70, the
-    next certificate is 1/61 = 0.0164 against c_6 = 0.0148).
+    solved one at a time in order of decreasing T (ties in pattern order),
+    and the search stops at the first Y whose 1/T exceeds the best solved
+    value plus :func:`_hong_margin`; that comparison is made in exact
+    rationals. Every Y left unsolved then has a solver value above the
+    best one, so c_n and the witness are those of solving all of them (at
+    n = 6 one solve instead of 32768: after the witness, T = 70, the next
+    certificate is 1/61 = 0.0164 against c_6 = 0.0148).
     """
     if n < 2:
         raise ValueError(f"c_n needs n >= 2, got {n}")
-    if n > cap:
+    if n > HONG_MAX_N:
         m = n * (n - 1) // 2
         raise ValueError(
-            f"c_{n} must certify 2^{m} = {1 << m} matrices; capped at n = {cap} "
-            f"(raise the cap explicitly to go further)"
+            f"c_{n} must certify 2^{m} = {1 << m} matrices; capped at n = {HONG_MAX_N}"
         )
     certificates = _trace_certificates(n)
     # weakest certificate first; a stable sort keeps ties in pattern order
     order = np.argsort(-certificates, kind="stable")
-    negated = -certificates[order]  # ascending, for searchsorted
     margin = Fraction(_hong_margin(n))
     best = witness = None
-    solved, limit, size = 0, order.size, 1
-    while solved < limit:
-        batch = order[solved:min(solved + size, limit)]
-        y = _unit_lower(n, batch).transpose(2, 0, 1)
+    for pattern in map(int, order):
+        certificate = Fraction(1, int(certificates[pattern]))
+        if best is not None and certificate > Fraction(best) + margin:
+            break
+        y = _unit_lower(n, np.array([pattern]))[:, :, 0]
         # integer entries: Y Y^T is exact, and so is its float64 copy
-        smallest = jacobi_eigenvalues_stack(y @ y.transpose(0, 2, 1))[:, 0]
-        for value, pattern in zip(smallest.tolist(), batch.tolist()):
-            if best is None or (value, pattern) < (best, witness):
-                best, witness = value, pattern
-        solved += batch.size
-        size = min(2 * size, HONG_CHUNK)
-        # Y_k is pruned once 1/T_k > best + margin; those with
-        # T_k >= ceil(1 / (best + margin)) are a prefix of the order
-        bound = Fraction(best) + margin
-        if bound > 0:
-            keep = -(-bound.denominator // bound.numerator)
-            limit = min(limit, int(np.searchsorted(negated, -keep, side="right")))
+        value = jacobi_eigenvalues(y @ y.T).min
+        if best is None or (value, pattern) < (best, witness):
+            best, witness = value, pattern
     y = _unit_lower(n, np.array([witness]))[:, :, 0]
     return HongConstant(n, best, tuple(tuple(int(v) for v in row) for row in y))
 

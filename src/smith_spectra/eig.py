@@ -7,9 +7,7 @@ compiled on first import) where a C compiler is found, and in numpy
 (backend ``"python"``) otherwise. Both give bit-identical results, and
 nothing selects between them: :func:`default_backend` names the one that
 runs.
-The tolerance lives here only: ``jacobi_eigenvalues`` and
-``jacobi_eigenvalues_stack`` take ``tol`` (default :data:`DEFAULT_TOL`)
-and validate it, every caller above this module uses the default, and
+There is one tolerance, :data:`DEFAULT_TOL`, and no caller sets another;
 :attr:`Spectrum.off_norm` reports the residual reached. This solver is the
 ground truth every bound in :mod:`smith_spectra.bounds` is validated
 against, which is why it does not delegate to an external eigensolver.
@@ -65,7 +63,6 @@ class Spectrum:
     """Eigenvalues sorted ascending, with solver diagnostics."""
 
     eigenvalues: tuple[float, ...]
-    solver_tolerance: float
     sweeps: int
     off_norm: float
 
@@ -121,65 +118,23 @@ def _as_array(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, float]:
     return work, fro
 
 
-def _check_tolerance(tol: float) -> None:
-    if not (isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-
-
 def jacobi_eigenvalues(
     a: SymMatrix | np.ndarray,
-    tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> Spectrum:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Converged when the off-diagonal Frobenius norm falls below
-    ``tol * ||A||_F``; raises :class:`JacobiConvergenceError` if the sweep
-    cap is reached first.
+    ``DEFAULT_TOL * ||A||_F``; raises :class:`JacobiConvergenceError` if
+    the sweep cap is reached first.
     """
-    _check_tolerance(tol)
     work, fro = _as_array(a)
-    sweeps, off = _kernel.cyclic_jacobi(work, tol, max_sweeps)
-    if off > tol * fro:
-        raise JacobiConvergenceError(sweeps, off, tol * fro)
+    sweeps, off = _kernel.cyclic_jacobi(work, DEFAULT_TOL, max_sweeps)
+    target = DEFAULT_TOL * fro
+    if off > target:
+        raise JacobiConvergenceError(sweeps, off, target)
     values = np.sort(np.diagonal(work))
-    return Spectrum(tuple(float(v) for v in values), tol, sweeps, off)
-
-
-def jacobi_eigenvalues_stack(
-    stack: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> np.ndarray:
-    """Sorted eigenvalues of every matrix of a (B, n, n) stack, as a (B, n)
-    array, by the kernel's cyclic Jacobi run on the whole stack.
-
-    Row i equals ``jacobi_eigenvalues(stack[i], tol,
-    max_sweeps).eigenvalues`` bit for bit, and the same checks apply to
-    each matrix; :class:`JacobiConvergenceError` names the lowest-index
-    matrix that did not converge.
-    """
-    _check_tolerance(tol)
-    work = np.array(stack, dtype=np.float64, order="C", copy=True)
-    if work.ndim != 3 or work.shape[1] != work.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {work.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        fro = _jacobi_py._frobenius_norms(work)
-    bad = np.flatnonzero(~np.isfinite(fro))
-    if bad.size:
-        raise ValueError(
-            f"matrix {bad[0]} of the stack is out of float range: an entry or "
-            f"the sum of the squared entries is not finite")
-    bad = np.flatnonzero(~(work == work.transpose(0, 2, 1)).all(axis=(1, 2)))
-    if bad.size:
-        raise ValueError(f"matrix {bad[0]} of the stack is not symmetric")
-    sweeps, off = _kernel.cyclic_jacobi_stack(work, tol, max_sweeps)
-    target = tol * fro
-    failed = np.flatnonzero(off > target)
-    if failed.size:
-        i = failed[0]
-        raise JacobiConvergenceError(int(sweeps[i]), float(off[i]), float(target[i]))
-    return np.sort(np.diagonal(work, axis1=1, axis2=2), axis=1)
+    return Spectrum(tuple(float(v) for v in values), sweeps, off)
 
 
 def spectral_summary(a: SymMatrix) -> SpectralSummary:

@@ -32,7 +32,6 @@ from smith_spectra.bounds import (
 from smith_spectra.eig import (
     SpectralSummary,
     jacobi_eigenvalues,
-    jacobi_eigenvalues_stack,
     spectral_summary,
 )
 from smith_spectra.matrices import (
@@ -51,14 +50,16 @@ def solve(matrix):
 def _hong_exhaustive(n):
     """Every unit lower-triangular 0/1 Y of order n in itertools.product
     order over the below-diagonal positions, row by row, as a (B, n, n)
-    stack, with lambda_min(Y Y^T) from the solver and from eigvalsh."""
+    stack, with lambda_min(Y Y^T) from the solver, one matrix at a time,
+    and from eigvalsh."""
     positions = [(i, j) for i in range(1, n) for j in range(i)]
     y = np.array([np.eye(n, dtype=np.int64)] * (1 << len(positions)))
     for k, bits in enumerate(product((0, 1), repeat=len(positions))):
         for bit, (i, j) in zip(bits, positions):
             y[k, i, j] = bit
     gram = (y @ y.transpose(0, 2, 1)).astype(np.float64)
-    return (jacobi_eigenvalues_stack(gram)[:, 0], np.linalg.eigvalsh(gram)[:, 0], y)
+    smallest = np.array([jacobi_eigenvalues(g).min for g in gram])
+    return smallest, np.linalg.eigvalsh(gram)[:, 0], y
 
 
 class TestWolkowiczStyan:
@@ -308,8 +309,7 @@ class TestHongConstant:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_equals_per_matrix_solves(self, n):
         # reference: every Y solved, in itertools.product order over the
-        # below-diagonal positions, first minimum kept (the stack's rows
-        # are the per-matrix solves bit for bit)
+        # below-diagonal positions, first minimum kept
         smallest, _, y = _hong_exhaustive(n)
         first = int(np.argmin(smallest))
         const = hong_cn(n)
@@ -341,11 +341,11 @@ class TestHongConstant:
                       enumerate((y @ y.transpose(0, 2, 1)).astype(np.float64))}
         solved = []
 
-        def recording(stack, *args, **kwargs):
-            solved.extend(pattern_of[np.asarray(g, np.float64).tobytes()] for g in stack)
-            return jacobi_eigenvalues_stack(stack, *args, **kwargs)
+        def recording(matrix, *args, **kwargs):
+            solved.append(pattern_of[np.asarray(matrix, np.float64).tobytes()])
+            return jacobi_eigenvalues(matrix, *args, **kwargs)
 
-        monkeypatch.setattr(bounds, "jacobi_eigenvalues_stack", recording)
+        monkeypatch.setattr(bounds, "jacobi_eigenvalues", recording)
         return hong_cn(n), solved
 
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 1), (4, 2), (5, 1), (6, 1)])

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smith_spectra import _jacobi_c, _jacobi_py, eig
-from smith_spectra.eig import jacobi_eigenvalues, jacobi_eigenvalues_stack
 from smith_spectra.matrices import IntegerSet, divisibility_gram, gcd_matrix, lcm_matrix
 
 PACKAGE = Path(_jacobi_c.__file__).parent
@@ -88,24 +87,6 @@ def test_c_and_numpy_kernels_are_bit_identical_on_the_families(build):
         _assert_kernels_agree(np.array(build(n).entries, dtype=np.float64))
 
 
-@needs_c
-def test_stack_on_the_c_path_matches_the_per_matrix_kernel():
-    rng = np.random.default_rng(6)
-    count, n = 300, 6
-    lower = np.tril(rng.integers(0, 2, size=(count, n, n)), -1) + np.eye(n, dtype=np.int64)
-    lower[0] = np.eye(n)  # a Gram matrix that is already diagonal
-    stack = (lower @ lower.transpose(0, 2, 1)).astype(np.float64)
-    rotated = stack.copy()
-    sweeps, off = _jacobi_c.cyclic_jacobi_stack(rotated, 1e-12, 100)
-    assert sweeps[0] == 0 and len(set(sweeps.tolist())) >= 3
-    values = jacobi_eigenvalues_stack(stack)
-    for k in range(count):
-        single = stack[k].copy()
-        assert (sweeps[k], off[k]) == _jacobi_py.cyclic_jacobi(single, 1e-12, 100)
-        assert _bits_equal(rotated[k], single)
-        assert tuple(values[k]) == jacobi_eigenvalues(stack[k]).eigenvalues
-
-
 # -- the loader -------------------------------------------------------------
 
 # run in a fresh interpreter on a copy of the package; exit 0 if the numpy
@@ -114,10 +95,9 @@ CHILD = """
 import numpy as np
 from smith_spectra import _jacobi_py, eig
 spec = eig.jacobi_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
-stack = eig.jacobi_eigenvalues_stack(np.array([[[2.0, 1.0], [1.0, 2.0]]]))
 fallback = (eig.default_backend() == "python" and eig._kernel is _jacobi_py
             and list(eig.available_backends()) == ["python"])
-assert spec.eigenvalues == (1.0, 3.0) and stack.tolist() == [[1.0, 3.0]]
+assert spec.eigenvalues == (1.0, 3.0)
 raise SystemExit(0 if fallback else 3)
 """
 
