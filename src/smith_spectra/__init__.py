@@ -50,6 +50,8 @@ from smith_spectra.bounds import (
     hong_cn,
     hong_lee_bounds,
     hong_lower_bound,
+    improved_bounds,
+    inner_radicand,
     lcm_bounds,
     mh_interval,
     ws_bounds,

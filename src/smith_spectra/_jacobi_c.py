@@ -99,6 +99,6 @@ def _sweep(a: np.ndarray) -> None:
     LIBRARY.jacobi_sweep(a.ctypes.data, a.shape[0])
 
 
-def cyclic_jacobi(a: np.ndarray, tol: float, max_sweeps: int) -> tuple[int, float]:
+def cyclic_jacobi(a: np.ndarray, threshold: float, max_sweeps: int) -> tuple[int, float]:
     """:func:`smith_spectra._jacobi_py.cyclic_jacobi`, with the C sweep."""
-    return _jacobi_py.converge(_checked(a), tol, max_sweeps, _sweep)
+    return _jacobi_py.converge(_checked(a), threshold, max_sweeps, _sweep)

@@ -1,8 +1,8 @@
 """The cyclic-Jacobi kernel's convergence loop, and its numpy sweep.
 
-``converge`` is the one convergence loop: the Frobenius and off-diagonal
-norms, the threshold test and the sweep count, all in numpy. It takes the
-function that runs one row-cyclic sweep. Here that is the numpy sweep,
+``converge`` is the one convergence loop: the off-diagonal norm, the test
+against the caller's threshold and the sweep count, all in numpy. It takes
+the function that runs one row-cyclic sweep. Here that is the numpy sweep,
 whose rotations each update two rows and two columns with vector
 operations; :mod:`smith_spectra._jacobi_c` passes its C sweep to the same
 loop, so ``off_norm`` and ``sweeps`` are the same whichever sweep ran.
@@ -16,10 +16,6 @@ from math import hypot, sqrt
 import numpy as np
 
 
-def _frobenius_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(a * a)))
-
-
 def _off_diagonal_norm(a: np.ndarray) -> float:
     # summed entry by entry (not as ||A||_F^2 - ||diag||^2, which cancels
     # catastrophically once the matrix is nearly diagonal)
@@ -28,13 +24,12 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(off * off)))
 
 
-def converge(a: np.ndarray, tol: float, max_sweeps: int,
+def converge(a: np.ndarray, threshold: float, max_sweeps: int,
              sweep: Callable[[np.ndarray], None]) -> tuple[int, float]:
-    """Run ``sweep`` on ``a`` in place until its off-diagonal norm meets
-    ``tol * ||A||_F``, at most ``max_sweeps`` times; returns
+    """Run ``sweep`` on ``a`` in place until its off-diagonal norm is at
+    most ``threshold``, at most ``max_sweeps`` times; returns
     (sweeps_used, off_norm)."""
     n = a.shape[0]
-    threshold = tol * _frobenius_norm(a)
     off = _off_diagonal_norm(a)
     if n < 2 or off <= threshold:
         return 0, off
@@ -76,6 +71,6 @@ def _sweep(a: np.ndarray) -> None:
             a[p, q] = a[q, p] = 0.0
 
 
-def cyclic_jacobi(a: np.ndarray, tol: float, max_sweeps: int) -> tuple[int, float]:
+def cyclic_jacobi(a: np.ndarray, threshold: float, max_sweeps: int) -> tuple[int, float]:
     """Run row-cyclic Jacobi sweeps in place; returns (sweeps_used, off_norm)."""
-    return converge(a, tol, max_sweeps, _sweep)
+    return converge(a, threshold, max_sweeps, _sweep)

@@ -172,11 +172,10 @@ def gcd_square_row_sum(n: int) -> ArithTable:
 
 def coprime_square_sum(t: int) -> int:
     """Sum of k^2 over 1 <= k <= t with gcd(k, t) = 1."""
-    _require_positive(t)
-    return _coprime_square_sum_table(t)[t]
+    return coprime_square_sum_table(t)[t]
 
 
-def _coprime_square_sum_table(n: int) -> ArithTable:
+def coprime_square_sum_table(n: int) -> ArithTable:
     """coprime_square_sum(t) for all t <= n in one O(n log n) pass.
 
     Uses the Moebius closed form (t/6) sum_{d|t} d mu(d) (t/d + 1)(2 t/d + 1),
@@ -203,7 +202,7 @@ def lcm_square_row_sum(n: int) -> ArithTable:
     square sum, exact integers throughout.
     """
     _require_positive(n)
-    gz = dirichlet_convolve(_coprime_square_sum_table(n), zeta_table(n)).values
+    gz = dirichlet_convolve(coprime_square_sum_table(n), zeta_table(n)).values
     return _table(n, [i * i * v for i, v in enumerate(gz)], "lcm_sq_rowsum")
 
 
@@ -217,8 +216,12 @@ def _centering_constant(n: int) -> Fraction:
 _row_sum_prefix: dict[str, list[int]] = {}
 
 
-def _s_squared(n: int, family: str) -> Fraction:
-    """s^2 = (2/n) P(n) - (7n^2 + 12n + 5)/12, P read from the family's prefix table."""
+def s_squared(n: int, family: str) -> Fraction:
+    """Spectral variance s^2 = tr(A^2)/n - (tr A / n)^2 of the gcd or lcm
+    matrix on {1..n}, exact: (2/n) P(n) - (7n^2 + 12n + 5)/12, with P(n) the
+    sum of the first n row sums, read from the family's prefix table."""
+    if family not in ("gcd", "lcm"):
+        raise ValueError(f"no closed form for family {family!r}")
     if n < 2:
         raise ValueError(f"s^2 needs n >= 2, got {n}")
     prefix = _row_sum_prefix.get(family)
@@ -230,19 +233,13 @@ def _s_squared(n: int, family: str) -> Fraction:
 
 
 def s_squared_gcd(n: int) -> Fraction:
-    """Spectral variance s^2 = tr(A^2)/n - (tr A / n)^2 of the gcd matrix on {1..n}.
-
-    Exact rational: (2/n) sum_{i<=n} (N^2 * phi)(i) - (7n^2 + 12n + 5)/12.
-    """
-    return _s_squared(n, "gcd")
+    """s_squared(n, "gcd"): (2/n) sum_{i<=n} (N^2 * phi)(i) - (7n^2 + 12n + 5)/12."""
+    return s_squared(n, "gcd")
 
 
 def s_squared_lcm(n: int) -> Fraction:
-    """Spectral variance s^2 = tr(A^2)/n - (tr A / n)^2 of the lcm matrix on {1..n}.
-
-    Exact rational: (2/n) sum_{i<=n} i^2 (g * zeta)(i) - (7n^2 + 12n + 5)/12.
-    """
-    return _s_squared(n, "lcm")
+    """s_squared(n, "lcm"): (2/n) sum_{i<=n} i^2 (g * zeta)(i) - (7n^2 + 12n + 5)/12."""
+    return s_squared(n, "lcm")
 
 
 def exact_inertia(n: int, epsilon: float) -> list[tuple[int, int, int]]:

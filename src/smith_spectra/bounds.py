@@ -8,9 +8,10 @@ Families:
 
 * Wolkowicz-Styan: m -+ s/sqrt(n-1) and m -+ s*sqrt(n-1) for any real
   spectrum, from the trace statistics alone.
-* Improved gcd/lcm brackets: the inner Wolkowicz-Styan bound sharpened by a
-  cross-term lower bound; the radicand grows by exactly 2/n (gcd) and 32
-  (lcm) over s^2/(n-1).
+* Improved gcd/lcm brackets (:func:`improved_bounds`): the inner
+  Wolkowicz-Styan bound sharpened by a cross-term lower bound; the radicand
+  (:func:`inner_radicand`) grows by exactly 2/n (gcd) and 32 (lcm) over
+  s^2/(n-1). :func:`_bracket` builds every report, improved or not.
 * Mattila-Haukkanen interval for mixed-power matrices, from the largest
   eigenvalue of the divisibility Gram matrix and Jordan totient maxima.
 * Hong-Lee upper bounds for reciprocal lcm matrices.
@@ -38,8 +39,6 @@ from smith_spectra.eig import (
 from smith_spectra.matrices import IntegerSet, divisibility_gram
 
 METHOD_WS = "ws"
-METHOD_GCD = "improved_gcd"
-METHOD_LCM = "improved_lcm"
 
 # n=2 has no cross-term to sharpen, so the improved families fall back to
 # the plain Wolkowicz-Styan bounds, which are equalities there.
@@ -117,13 +116,20 @@ class HongConstant:
 
 def closed_form_summary(n: int, family: str) -> SpectralSummary:
     """Trace statistics of the gcd/lcm matrix on {1..n} from the exact closed forms."""
-    if family == "gcd":
-        s2 = arith.s_squared_gcd(n)
-    elif family == "lcm":
-        s2 = arith.s_squared_lcm(n)
-    else:
-        raise ValueError(f"no closed form for family {family!r}")
-    return SpectralSummary(n, Fraction(n + 1, 2), s2, exact=True)
+    return SpectralSummary(n, Fraction(n + 1, 2), arith.s_squared(n, family), exact=True)
+
+
+def _bracket(summary: SpectralSummary, family: str, method: str, inner: float) -> BoundsReport:
+    """The bracket m -+ s*sqrt(n-1) (outer bounds) and m -+ inner (inner bounds)."""
+    n = summary.n
+    m = float(summary.m)
+    s = summary.s
+    outer = s * sqrt(n - 1)
+    return BoundsReport(
+        n=n, family=family, method=method, m=m, s=s, trace=float(summary.m * n),
+        lambda_min_lower=m - outer, lambda_min_upper=m - inner,
+        lambda_max_lower=m + inner, lambda_max_upper=m + outer,
+    )
 
 
 def ws_bounds(summary: SpectralSummary, family: str = "custom") -> BoundsReport:
@@ -135,77 +141,52 @@ def ws_bounds(summary: SpectralSummary, family: str = "custom") -> BoundsReport:
     n = summary.n
     if n < 2:
         raise ValueError(f"Wolkowicz-Styan bounds need n >= 2, got {n}")
-    m = float(summary.m)
-    s = summary.s
-    root = sqrt(n - 1)
-    return BoundsReport(
-        n=n,
-        family=family,
-        method=METHOD_WS,
-        m=m,
-        s=s,
-        trace=float(summary.m * n),
-        lambda_min_lower=m - s * root,
-        lambda_min_upper=m - s / root,
-        lambda_max_lower=m + s / root,
-        lambda_max_upper=m + s * root,
-    )
+    return _bracket(summary, family, METHOD_WS, summary.s / sqrt(n - 1))
 
 
-def _improved(n: int, family: str, method: str, inner_radicand: Fraction,
-              summary: SpectralSummary) -> BoundsReport:
-    m = float(summary.m)
-    s = summary.s
-    outer = s * sqrt(n - 1)
-    inner = sqrt(float(inner_radicand))
-    return BoundsReport(
-        n=n,
-        family=family,
-        method=method,
-        m=m,
-        s=s,
-        trace=float(summary.m * n),
-        lambda_min_lower=m - outer,
-        lambda_min_upper=m - inner,
-        lambda_max_lower=m + inner,
-        lambda_max_upper=m + outer,
-    )
+def inner_radicand(n: int, family: str, s_squared: Fraction) -> Fraction:
+    """The radicand r of the improved inner bounds m -+ sqrt(r) of the gcd
+    or lcm matrix on {1..n}, n >= 3, whose spectral variance is s_squared:
+
+    gcd: (n*s^2 + 2(n-1)) / (n^2 - n), i.e. s^2/(n-1) + 2/n
+    lcm: (s^2 + 32(n-1)) / (n-1),      i.e. s^2/(n-1) + 32
+    """
+    if family == "gcd":
+        return (n * s_squared + 2 * (n - 1)) / Fraction(n * n - n)
+    if family == "lcm":
+        return (s_squared + 32 * (n - 1)) / Fraction(n - 1)
+    raise ValueError(f"no improved radicand for family {family!r}")
+
+
+def improved_bounds(n: int, family: str) -> BoundsReport:
+    """Improved brackets for the extreme eigenvalues of the gcd or lcm
+    matrix on {1..n}: the inner bounds are m -+ sqrt(inner_radicand), the
+    outer bounds stay Wolkowicz-Styan. Needs n >= 3 (n = 2 falls back,
+    flagged).
+    """
+    if n < 2:
+        raise ValueError(f"{family} bounds need n >= 2, got {n}")
+    summary = closed_form_summary(n, family)
+    if n == 2:
+        return replace(ws_bounds(summary, family), flag=WS_FALLBACK_FLAG)
+    radicand = inner_radicand(n, family, summary.s_squared)
+    return _bracket(summary, family, f"improved_{family}", sqrt(float(radicand)))
 
 
 def gcd_bounds(n: int) -> BoundsReport:
-    """Improved brackets for the extreme eigenvalues of the gcd matrix on {1..n}.
-
-    The inner bounds use the radicand (n*s^2 + 2(n-1)) / (n^2 - n), i.e.
-    s^2/(n-1) + 2/n; the outer bounds stay Wolkowicz-Styan. Needs n >= 3
-    (n = 2 falls back, flagged).
-    """
-    if n < 2:
-        raise ValueError(f"gcd bounds need n >= 2, got {n}")
-    summary = closed_form_summary(n, "gcd")
-    if n == 2:
-        return replace(ws_bounds(summary, "gcd"), flag=WS_FALLBACK_FLAG)
-    radicand = (n * summary.s_squared + 2 * (n - 1)) / Fraction(n * n - n)
-    return _improved(n, "gcd", METHOD_GCD, radicand, summary)
+    """:func:`improved_bounds` of the gcd matrix on {1..n}."""
+    return improved_bounds(n, "gcd")
 
 
 def lcm_bounds(n: int) -> BoundsReport:
-    """Improved brackets for the extreme eigenvalues of the lcm matrix on {1..n}.
+    """:func:`improved_bounds` of the lcm matrix on {1..n}.
 
-    The inner bounds use the radicand (s^2 + 32(n-1)) / (n-1), i.e.
-    s^2/(n-1) + 32; the outer bounds stay Wolkowicz-Styan. Needs n >= 3
-    (n = 2 falls back, flagged). Note: the cross-term argument behind the
-    +32 rests on interlacing against the order-4 matrix, so the inner
-    bounds are only guaranteed from n = 4 on; at n = 3 the smallest
-    eigenvalue actually violates its inner bound (see the verification
-    sweep, which reports this).
+    Note: the cross-term argument behind the +32 rests on interlacing
+    against the order-4 matrix, so the inner bounds are only guaranteed
+    from n = 4 on; at n = 3 the smallest eigenvalue actually violates its
+    inner bound (see the verification sweep, which reports this).
     """
-    if n < 2:
-        raise ValueError(f"lcm bounds need n >= 2, got {n}")
-    summary = closed_form_summary(n, "lcm")
-    if n == 2:
-        return replace(ws_bounds(summary, "lcm"), flag=WS_FALLBACK_FLAG)
-    radicand = (summary.s_squared + 32 * (n - 1)) / Fraction(n - 1)
-    return _improved(n, "lcm", METHOD_LCM, radicand, summary)
+    return improved_bounds(n, "lcm")
 
 
 def mh_interval(n: int, alpha: float, beta: float) -> tuple[float, float]:

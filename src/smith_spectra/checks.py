@@ -18,8 +18,8 @@ import numpy as np
 from smith_spectra import arith
 from smith_spectra.bounds import (
     closed_form_summary,
-    gcd_bounds,
-    lcm_bounds,
+    improved_bounds,
+    inner_radicand,
     mh_interval,
     ws_bounds,
 )
@@ -78,8 +78,9 @@ def _exact_checks(n_max: int) -> list[CheckResult]:
             "lcm_rowsum_oracle", i, lcm_rows[i] == direct,
             "" if lcm_rows[i] == direct else f"{lcm_rows[i]} != {direct}"))
 
+    coprime = arith.coprime_square_sum_table(n_max)
     for t in range(1, n_max + 1):
-        closed = arith.coprime_square_sum(t)
+        closed = coprime[t]
         direct = sum(k * k for k in range(1, t + 1) if gcd(k, t) == 1)
         out.append(CheckResult(
             "coprime_square_sum_oracle", t, closed == direct,
@@ -164,9 +165,7 @@ def _spectral_checks(n_max: int) -> list[CheckResult]:
 
             # closed forms and the improved bracket, once per (n, family)
             closed = closed_form_summary(n, family)
-            improved = None
-            if n >= 3:
-                improved = gcd_bounds(n) if family == "gcd" else lcm_bounds(n)
+            improved = improved_bounds(n, family) if n >= 3 else None
 
             ws_traces = ws_bounds(spectral_summary(matrix), family)
             ws_closed = ws_bounds(closed, family)
@@ -225,12 +224,8 @@ def _spectral_checks(n_max: int) -> list[CheckResult]:
                     f"({rep.lambda_max_lower:.6g}, {rep.lambda_max_upper:.6g})"))
 
                 s2 = closed.s_squared
-                if family == "gcd":
-                    gain = (n * s2 + 2 * (n - 1)) / Fraction(n * n - n) - s2 / (n - 1)
-                    ok = gain == Fraction(2, n)
-                else:
-                    gain = (s2 + 32 * (n - 1)) / Fraction(n - 1) - s2 / (n - 1)
-                    ok = gain == 32
+                gain = inner_radicand(n, family, s2) - s2 / (n - 1)
+                ok = gain == (Fraction(2, n) if family == "gcd" else 32)
                 out.append(CheckResult(
                     f"{family}_radicand_gain", n, ok, "" if ok else f"gain {gain}"))
 

@@ -27,7 +27,7 @@ from math import isfinite, sqrt
 
 from smith_spectra import __version__
 from smith_spectra.arith import exact_inertia
-from smith_spectra.bounds import gcd_bounds, lcm_bounds, mh_interval, ws_bounds
+from smith_spectra.bounds import gcd_bounds, improved_bounds, mh_interval, ws_bounds
 from smith_spectra.checks import failures, run_checks
 from smith_spectra.eig import (
     JacobiConvergenceError,
@@ -206,10 +206,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         # the improved methods apply to {1..n} only; explicit sets and the
         # real-exponent families get Wolkowicz-Styan from their traces
         matrix = None
-        if explicit is None and args.family == "gcd":
-            report = gcd_bounds(n)
-        elif explicit is None and args.family == "lcm":
-            report = lcm_bounds(n)
+        if explicit is None and args.family in ("gcd", "lcm"):
+            report = improved_bounds(n, args.family)
         else:
             matrix = build_matrix(args, explicit, n)
             report = ws_bounds(spectral_summary(matrix), args.family)

@@ -129,8 +129,8 @@ def jacobi_eigenvalues(
     the sweep cap is reached first.
     """
     work, fro = _as_array(a)
-    sweeps, off = _kernel.cyclic_jacobi(work, DEFAULT_TOL, max_sweeps)
     target = DEFAULT_TOL * fro
+    sweeps, off = _kernel.cyclic_jacobi(work, target, max_sweeps)
     if off > target:
         raise JacobiConvergenceError(sweeps, off, target)
     values = np.sort(np.diagonal(work))

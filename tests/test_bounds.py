@@ -3,6 +3,7 @@ eigenvalues; closed-form trace statistics are cross-checked against matrix
 traces; golden constants for the small-order cross terms are recomputed
 from the solver rather than hard-coded."""
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -11,7 +12,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from smith_spectra import bounds
+from smith_spectra import arith, bounds, checks
 from smith_spectra.arith import power_table, sieve_totient, zeta_table
 from smith_spectra.bounds import (
     WS_FALLBACK_FLAG,
@@ -25,6 +26,8 @@ from smith_spectra.bounds import (
     hong_cn,
     hong_lee_bounds,
     hong_lower_bound,
+    improved_bounds,
+    inner_radicand,
     lcm_bounds,
     mh_interval,
     ws_bounds,
@@ -143,6 +146,8 @@ class TestGcdBounds:
         s2 = closed_form_summary(n, "gcd").s_squared
         improved = (n * s2 + 2 * (n - 1)) / Fraction(n * n - n)
         assert improved - s2 / (n - 1) == Fraction(2, n)
+        assert inner_radicand(n, "gcd", s2) == improved
+        assert gcd_bounds(n).lambda_max_lower == (n + 1) / 2 + sqrt(float(improved))
 
     @pytest.mark.parametrize("n", [3, 10, 100])
     def test_inner_bounds_strictly_tighter_than_ws(self, n):
@@ -192,6 +197,8 @@ class TestLcmBounds:
         s2 = closed_form_summary(n, "lcm").s_squared
         improved = (s2 + 32 * (n - 1)) / Fraction(n - 1)
         assert improved - s2 / (n - 1) == 32
+        assert inner_radicand(n, "lcm", s2) == improved
+        assert lcm_bounds(n).lambda_max_lower == (n + 1) / 2 + sqrt(float(improved))
 
     @pytest.mark.parametrize("n", [5, 30])
     def test_cross_term_inequalities(self, n):
@@ -209,6 +216,36 @@ class TestLcmBounds:
         order3 = solve(gcd_matrix(IntegerSet.first_n(3)))
         gap3 = order3.eigenvalues[1] - order3.eigenvalues[0]
         assert spec.eigenvalues[-2] - spec.min > gap3
+
+
+
+class TestImprovedBounds:
+    def test_radicand_gain_check_tests_inner_radicand(self, monkeypatch):
+        # verify's radicand-gain rows read the code's radicand, so a wrong
+        # lcm radicand fails them all, and no gcd row
+        def gain(failed):
+            return [r.n for r in failed if r.check == "lcm_radicand_gain"]
+
+        assert gain(checks.failures(checks.run_checks(12))) == []
+        real = checks.inner_radicand
+
+        def lcm_one_less(n, family, s2):
+            return real(n, family, s2) - (1 if family == "lcm" else 0)
+
+        monkeypatch.setattr(checks, "inner_radicand", lcm_one_less)
+        failed = checks.failures(checks.run_checks(12))
+        assert gain(failed) == list(range(3, 13))
+        assert [r for r in failed if "gcd" in r.check] == []
+
+    @pytest.mark.parametrize("call, family", [
+        (lambda: arith.s_squared(5, "mixed"), "mixed"),
+        (lambda: closed_form_summary(5, "mixed"), "mixed"),
+        (lambda: inner_radicand(5, "mixed", Fraction(1)), "mixed"),
+        (lambda: improved_bounds(5, "power-gcd"), "power-gcd"),
+    ], ids=["s_squared", "closed_form_summary", "inner_radicand", "improved_bounds"])
+    def test_unknown_family_is_named(self, call, family):
+        with pytest.raises(ValueError, match=re.escape(repr(family))):
+            call()
 
 
 class TestMattilaHaukkanen:

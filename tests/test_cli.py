@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -317,6 +318,35 @@ class TestOutputContracts:
         assert code == 0
         assert printed == ""
         assert "improved_gcd" in target.read_text()
+
+
+# (argv, exit code, stdout sha256): the bytes these commands print must
+# not change; spectrum is left out, as it prints the kernel backend
+PINNED_OUTPUTS = [
+    ("bounds --family lcm --n 2..2000 --format csv", 0,
+     "75a1d5c3031999dcb377f97cb4e11d00a7370873de63e849c2bb748681b42e7f"),
+    ("bounds --family gcd --n 2..2000 --format csv", 0,
+     "cd56181279af91ad5393d37be8fde9c41d20cbfe457eee27c169b6689fb8ba5e"),
+    ("bounds --family lcm --n 3..40 --with-actual --format csv", 0,
+     "aa713432962e36d2879263ae2d9b71744b76a467c6d6a4efb09f00fdbb16df65"),
+    ("compare --n 2..30 --format csv", 0,
+     "9ac7e96f4f7a1c798adfd8fdde9d392cf3c4869253f5adb61019e8f0716bd42d"),
+    ("verify --n-max 30 --format json", 1,
+     "ce7e8a2e64a809d4e8db789089603c535a6e2db40ab9aa08a59d25c8d2033ed6"),
+    ("verify --n-max 30 --format table", 1,
+     "0c0c7fce35e4e5efa72b0bf28e34d375d9105efd5170e1b695c42e2ae948f64f"),
+    ("reproduce-paper --format csv", 0,
+     "dc1a6dc451124a261501ec9e26cd9683505e6077598be9cf191d8913a09c7d78"),
+    ("bounds --set 4,6,10 --with-actual", 0,
+     "721bbf77ad25a5aefc8c91b95e897bfca1384f26787f7c5309f4fccc22b2ec41"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_OUTPUTS,
+                         ids=[argv for argv, _, _ in PINNED_OUTPUTS])
+def test_pinned_output_bytes(capsys, argv, code, digest):
+    exit_code, out = run_cli(capsys, *argv.split())
+    assert (exit_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 class TestCaps:

@@ -64,8 +64,9 @@ def symmetric_integer_matrices(draw) -> np.ndarray:
 
 def _assert_kernels_agree(a: np.ndarray) -> None:
     by_c, by_numpy = a.copy(), a.copy()
-    assert (_jacobi_c.cyclic_jacobi(by_c, 1e-12, 100)
-            == _jacobi_py.cyclic_jacobi(by_numpy, 1e-12, 100))
+    threshold = 1e-12 * float(np.sqrt(np.sum(a * a)))  # what eig passes: DEFAULT_TOL * ||A||_F
+    assert (_jacobi_c.cyclic_jacobi(by_c, threshold, 100)
+            == _jacobi_py.cyclic_jacobi(by_numpy, threshold, 100))
     assert _bits_equal(by_c, by_numpy)
 
 
