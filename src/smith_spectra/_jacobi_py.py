@@ -19,9 +19,9 @@ import numpy as np
 def _off_diagonal_norm(a: np.ndarray) -> float:
     # summed entry by entry (not as ||A||_F^2 - ||diag||^2, which cancels
     # catastrophically once the matrix is nearly diagonal)
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.sqrt(np.sum(off * off)))
+    squares = a * a
+    np.fill_diagonal(squares, 0.0)
+    return float(np.sqrt(np.sum(squares)))
 
 
 def converge(a: np.ndarray, threshold: float, max_sweeps: int,

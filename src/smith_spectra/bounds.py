@@ -233,9 +233,10 @@ def hong_lee_bounds(s: IntegerSet, r: float, k: int) -> tuple[float, float]:
     return mean_bound, kth_bound
 
 
-def _unit_lower(n: int, patterns: np.ndarray) -> np.ndarray:
+def _unit_lower(n: int, patterns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The unit lower-triangular 0/1 matrices Y of order n with the given
     pattern numbers, as an int64 (n, n, B) array: Y_k is ``[:, :, k]``.
+    Written into ``out`` when it is given.
 
     Bit j of a pattern, counted from the most significant, fills the j-th
     below-diagonal position, row by row, so the patterns 0, 1, 2, ... are
@@ -245,32 +246,48 @@ def _unit_lower(n: int, patterns: np.ndarray) -> np.ndarray:
     rows, cols = np.tril_indices(n, -1)
     shifts = np.arange(rows.size - 1, -1, -1)
     diagonal = np.arange(n)
-    y = np.zeros((n, n, patterns.size), dtype=np.int64)
-    y[diagonal, diagonal] = 1
-    y[rows, cols] = (patterns >> shifts[:, None]) & 1
-    return y
+    if out is None:
+        out = np.empty((n, n, patterns.size), dtype=np.int64)
+    out.fill(0)
+    out[diagonal, diagonal] = 1
+    out[rows, cols] = (patterns >> shifts[:, None]) & 1
+    return out
 
 
-def _inverse_unit_lower(y: np.ndarray) -> np.ndarray:
+def _inverse_unit_lower(y: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Y^-1 of every unit lower-triangular integer matrix of the (n, n, B)
-    int64 array, exactly, by forward substitution: row i of X = Y^-1 is
-    e_i minus the sum over j < i of Y_ij times row j of X."""
-    x = np.zeros_like(y)
+    int64 array ``y``, exactly, by forward substitution, written into
+    ``out``: row i of X = Y^-1 is e_i minus the sum over j < i of Y_ij
+    times row j of X. ``scratch``, of y's shape, holds the products."""
+    out.fill(0)
     for i in range(y.shape[0]):
-        x[i, i] = 1
-        x[i, :i] = -(y[i, :i, None] * x[:i, :i]).sum(axis=0)
-    return x
+        out[i, i] = 1
+        products = np.multiply(y[i, :i, None], out[:i, :i], out=scratch[:i, :i])
+        products.sum(axis=0, out=out[i, :i])
+        np.negative(out[i, :i], out=out[i, :i])
+    return out
 
 
 def _trace_certificates(n: int) -> np.ndarray:
     """T_k = ||Y_k^-1||_F^2 for every pattern k of order n, in pattern
-    order, as int64; built HONG_CHUNK patterns at a time."""
+    order, as int64; built HONG_CHUNK patterns at a time.
+
+    Every chunk has the same size (a power of two), so Y, Y^-1 and the
+    squares are three arrays allocated once and overwritten per chunk:
+    allocating them per chunk made glibc give the top of its heap back to
+    the system and fault it in again, chunk after chunk, in some process
+    layouts."""
     count = 1 << (n * (n - 1) // 2)
+    size = min(HONG_CHUNK, count)
     certificates = np.empty(count, dtype=np.int64)
-    for start in range(0, count, HONG_CHUNK):
-        patterns = np.arange(start, min(start + HONG_CHUNK, count))
-        x = _inverse_unit_lower(_unit_lower(n, patterns))
-        certificates[start:start + patterns.size] = (x * x).sum(axis=(0, 1))
+    y = np.empty((n, n, size), dtype=np.int64)
+    x = np.empty_like(y)
+    squares = np.empty_like(y)
+    for start in range(0, count, size):
+        _unit_lower(n, np.arange(start, start + size), out=y)
+        _inverse_unit_lower(y, x, squares)
+        np.multiply(x, x, out=squares)
+        squares.sum(axis=(0, 1), out=certificates[start:start + size])
     return certificates
 
 

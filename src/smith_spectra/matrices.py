@@ -99,6 +99,21 @@ class SymMatrix:
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.entries)
 
+    def leading(self, k: int) -> SymMatrix:
+        """The leading principal k x k block: the same family, with the same
+        parameters, on the first k elements of the set. Its entries are a
+        view of these."""
+        if not 1 <= k <= self.order:
+            raise ValueError(f"k must lie in 1..{self.order}, got {k}")
+        return SymMatrix(
+            order=k,
+            entries=self.entries[:k, :k],
+            family=self.family,
+            source_set=IntegerSet(self.source_set.elements[:k]),
+            exact=None if self.exact is None else tuple(row[:k] for row in self.exact[:k]),
+            params=dict(self.params),
+        )
+
     def label(self) -> str:
         if not self.params:
             return self.family

@@ -360,7 +360,7 @@ class TestHongConstant:
         _, reference, y = _hong_exhaustive(n)
         stack = _unit_lower(n, np.arange(y.shape[0]))
         assert np.array_equal(stack.transpose(2, 0, 1), y)
-        inverse = _inverse_unit_lower(stack)
+        inverse = _inverse_unit_lower(stack, np.empty_like(stack), np.empty_like(stack))
         identity = np.einsum("ijb,jkb->ikb", stack, inverse)
         assert identity.dtype == np.int64
         assert np.array_equal(identity, np.broadcast_to(np.eye(n, dtype=np.int64)[:, :, None],

@@ -54,6 +54,29 @@ def test_hypot_port_is_math_hypot_bit_for_bit():
     assert math.isnan(port(1.0, math.nan))
 
 
+def _exponent_edges() -> list[float]:
+    """Doubles with the biased exponents 1, 2, 2044, 2045 and 2046, where
+    the port switches between reading the scale from the exponent bits and
+    frexp/ldexp, and with 0 (zero and subnormals); a few mantissas each,
+    both signs."""
+    values = []
+    for biased in (0, 1, 2, 2044, 2045, 2046):
+        for mantissa in (0, 1, 0x8000000000000, 0xFFFFFFFFFFFFF):
+            bits = (biased << 52) | mantissa
+            x = struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+            values += [x, -x]
+    return values
+
+
+@needs_c
+def test_hypot_port_is_math_hypot_at_the_exponent_edges():
+    port = _jacobi_c.LIBRARY.py_hypot
+    edges = _exponent_edges()
+    pairs = [(x, y) for x in edges + [1.0, -1.0] for y in edges]
+    mismatches = [(x, y) for x, y in pairs if _bits(port(x, y)) != _bits(math.hypot(x, y))]
+    assert mismatches == []
+
+
 @st.composite
 def symmetric_integer_matrices(draw) -> np.ndarray:
     n = draw(st.integers(1, 12))
@@ -84,7 +107,8 @@ def test_c_and_numpy_kernels_are_bit_identical(a):
     divisibility_gram,
 ], ids=["gcd", "lcm", "divisibility_gram"])
 def test_c_and_numpy_kernels_are_bit_identical_on_the_families(build):
-    for n in range(1, 61):
+    # verify solves gcd and lcm up to n = 80
+    for n in (*range(1, 61), 64, 80, 97):
         _assert_kernels_agree(np.array(build(n).entries, dtype=np.float64))
 
 

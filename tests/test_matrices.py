@@ -150,6 +150,36 @@ class TestImmutability:
             m.entries[0, 0] = 99.0
 
 
+LEADING_BUILDS = {
+    "gcd": lambda n: gcd_matrix(IntegerSet.first_n(n)),
+    "lcm": lambda n: lcm_matrix(IntegerSet.first_n(n)),
+    "divisibility_gram": divisibility_gram,
+    "power_gcd": lambda n: power_gcd_matrix(IntegerSet.first_n(n), 0.5),
+}
+
+
+class TestLeadingBlock:
+    @pytest.mark.parametrize("family", LEADING_BUILDS)
+    def test_equals_the_direct_build(self, family):
+        build = LEADING_BUILDS[family]
+        full = build(12)
+        for k in range(1, 13):
+            block, direct = full.leading(k), build(k)
+            assert block.order == k
+            assert block.entries.tobytes() == direct.entries.tobytes()
+            assert block.exact == direct.exact
+            assert block.source_set == direct.source_set
+            assert (block.family, block.params) == (direct.family, direct.params)
+            assert np.shares_memory(block.entries, full.entries)
+            with pytest.raises(ValueError):
+                block.entries[0, 0] = 99.0
+
+    @pytest.mark.parametrize("k", [-1, 0, 13])
+    def test_rejects_orders_outside_the_matrix(self, k):
+        with pytest.raises(ValueError, match="1..12"):
+            gcd_matrix(IntegerSet.first_n(12)).leading(k)
+
+
 class TestCsvExport:
     def test_integer_family_round_trip(self):
         m = lcm_matrix(IntegerSet.first_n(4))
