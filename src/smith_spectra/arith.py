@@ -13,6 +13,8 @@ Core identities used by the trace statistics of the gcd and lcm matrices on
 
 where ``*`` is Dirichlet convolution, N(k) = k, phi is Euler's totient and
 mu the Moebius function.
+Every table reads phi, mu or (-1)^omega from one sieve per process, grown
+on demand (never at import).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import isfinite
+from math import isfinite, prod
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def _require_positive(n: int) -> None:
         raise ValueError(f"argument must be a positive integer, got {n}")
 
 
-def _table(limit: int, slots: list[int], label: str) -> ArithTable:
+def _table(limit: int, slots: list[int] | tuple[int, ...], label: str) -> ArithTable:
     return ArithTable(limit, tuple(slots), label)
 
 
@@ -96,16 +98,29 @@ def _linear_sieve(n: int) -> tuple[list[int], list[int], list[int]]:
     return phi, mu, sign
 
 
+# phi, mu and sign on 0..limit: the process's one sieve, filled on first use
+_sieve: tuple[tuple[int, ...], ...] = ((0,), (0,), (0,))
+
+
+def _sieved(n: int) -> tuple[tuple[int, ...], ...]:
+    """phi, mu and sign on 0..n, from the sieve regrown to a power of two."""
+    global _sieve
+    sieve = _sieve
+    if len(sieve[0]) <= n:
+        sieve = _sieve = tuple(map(tuple, _linear_sieve(1 << (n - 1).bit_length())))
+    return tuple(values[:n + 1] for values in sieve)
+
+
 def sieve_totient(n: int) -> ArithTable:
     """Euler's totient phi on 1..n, O(n)."""
     _require_positive(n)
-    return _table(n, _linear_sieve(n)[0], "phi")
+    return _table(n, _sieved(n)[0], "phi")
 
 
 def sieve_mobius(n: int) -> ArithTable:
     """Moebius mu on 1..n, O(n)."""
     _require_positive(n)
-    return _table(n, _linear_sieve(n)[1], "mu")
+    return _table(n, _sieved(n)[1], "mu")
 
 
 def zeta_table(n: int) -> ArithTable:
@@ -256,15 +271,11 @@ def exact_inertia(n: int, epsilon: float) -> list[tuple[int, int, int]]:
         return [(k, 0, 0) for k in range(1, n + 1)]
     if epsilon == 0:
         return [(1, 0, k - 1) for k in range(1, n + 1)]
-    odd = list(accumulate((v < 0 for v in _linear_sieve(n)[2][1:]), initial=0))
+    odd = list(accumulate((v < 0 for v in _sieved(n)[2][1:]), initial=0))
     return [(k - odd[k], odd[k], 0) for k in range(1, n + 1)]
 
 
 def smith_determinant(n: int) -> int:
     """Determinant of the gcd matrix on {1..n}: the product phi(1) ... phi(n)."""
     _require_positive(n)
-    phi = sieve_totient(n)
-    det = 1
-    for k in range(1, n + 1):
-        det *= phi.values[k]
-    return det
+    return prod(sieve_totient(n).values[1:])

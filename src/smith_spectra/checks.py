@@ -2,12 +2,12 @@
 
 Exact checks compare closed forms against brute-force oracles as integer or
 rational equalities. Spectral checks validate the solver output and every
-bound family against it. They build the gcd and lcm matrices once, at
-n_max, and take each smaller order as its leading principal block
-(:meth:`SymMatrix.leading`): the matrix on {1..n} is the leading n x n
-block of the one on {1..n+1}, which is also what the interlacing check
-rests on. Each check yields one result per (check, n), so a failure
-pinpoints the exact instance; violations are reported, never silently
+bound family against it. They build the gcd, lcm and divisibility Gram
+matrices once, at the largest order checked, and take each smaller order
+as its leading principal block (:meth:`SymMatrix.leading`): the matrix on
+{1..n} is the leading n x n block of the one on {1..n+1}, which is also
+what the interlacing check rests on. Each check yields one result per
+(check, n), so a failure pinpoints the exact instance; violations are reported, never silently
 skipped.
 """
 
@@ -28,7 +28,7 @@ from smith_spectra.bounds import (
     ws_bounds,
 )
 from smith_spectra.eig import Spectrum, jacobi_eigenvalues, spectral_summary
-from smith_spectra.matrices import IntegerSet, gcd_matrix, lcm_matrix
+from smith_spectra.matrices import IntegerSet, divisibility_gram, gcd_matrix, lcm_matrix
 
 INTERLACING_CAP = 60
 MH_CAP = 60
@@ -68,27 +68,18 @@ def run_checks(n_max: int, exact_only: bool = False) -> list[CheckResult]:
 def _exact_checks(n_max: int) -> list[CheckResult]:
     out: list[CheckResult] = []
 
-    gcd_rows = arith.gcd_square_row_sum(n_max)
-    for i in range(1, n_max + 1):
-        direct = sum(gcd(i, j) ** 2 for j in range(1, i + 1))
-        out.append(CheckResult(
-            "gcd_rowsum_oracle", i, gcd_rows[i] == direct,
-            "" if gcd_rows[i] == direct else f"{gcd_rows[i]} != {direct}"))
-
-    lcm_rows = arith.lcm_square_row_sum(n_max)
-    for i in range(1, n_max + 1):
-        direct = sum(lcm(i, j) ** 2 for j in range(1, i + 1))
-        out.append(CheckResult(
-            "lcm_rowsum_oracle", i, lcm_rows[i] == direct,
-            "" if lcm_rows[i] == direct else f"{lcm_rows[i]} != {direct}"))
-
-    coprime = arith.coprime_square_sum_table(n_max)
-    for t in range(1, n_max + 1):
-        closed = coprime[t]
-        direct = sum(k * k for k in range(1, t + 1) if gcd(k, t) == 1)
-        out.append(CheckResult(
-            "coprime_square_sum_oracle", t, closed == direct,
-            "" if closed == direct else f"{closed} != {direct}"))
+    for name, table, oracle in (
+        ("gcd_rowsum_oracle", arith.gcd_square_row_sum(n_max),
+         lambda i: sum(gcd(i, j) ** 2 for j in range(1, i + 1))),
+        ("lcm_rowsum_oracle", arith.lcm_square_row_sum(n_max),
+         lambda i: sum(lcm(i, j) ** 2 for j in range(1, i + 1))),
+        ("coprime_square_sum_oracle", arith.coprime_square_sum_table(n_max),
+         lambda t: sum(k * k for k in range(1, t + 1) if gcd(k, t) == 1)),
+    ):
+        for i in range(1, n_max + 1):
+            closed, direct = table[i], oracle(i)
+            out.append(CheckResult(name, i, closed == direct,
+                                   "" if closed == direct else f"{closed} != {direct}"))
 
     # Moebius inversion round trip for phi and N^2
     mu = arith.sieve_mobius(n_max)
@@ -131,11 +122,11 @@ def _spectral_checks(n_max: int) -> list[CheckResult]:
     out: list[CheckResult] = []
 
     # small-order gaps feeding the cross-term inequalities
-    gap3 = None
-    gap4 = None
+    gap3 = gap4 = None
 
     largest = {family: build(IntegerSet.first_n(n_max))
                for family, build in (("gcd", gcd_matrix), ("lcm", lcm_matrix))}
+    gram = divisibility_gram(min(n_max, MH_CAP))
     prev: dict[str, Spectrum] = {}
     for n in range(2, n_max + 1):
         for family in ("gcd", "lcm"):
@@ -207,7 +198,7 @@ def _spectral_checks(n_max: int) -> list[CheckResult]:
                         "smith_determinant_eigenproduct", n, ok,
                         "" if ok else f"{det:.6e} vs {expected}"))
                 if n <= MH_CAP:
-                    lo, hi = mh_interval(n, 1, 0)
+                    lo, hi = mh_interval(n, 1, 0, gram)
                     # closed interval; at n = 2 the gcd matrix IS the
                     # divisibility Gram matrix, so the upper endpoint is hit
                     ok = lo - slack <= spec.min and spec.max <= hi + slack

@@ -38,6 +38,7 @@ from smith_spectra.eig import (
 from smith_spectra.matrices import (
     IntegerSet,
     SymMatrix,
+    divisibility_gram,
     gcd_matrix,
     lcm_matrix,
     matrix_to_csv,
@@ -201,19 +202,20 @@ def _single_n(args: argparse.Namespace, n_values: list[int]) -> int | None:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     n_values, explicit = read_target(args, needs_solve=args.with_actual)
+    # the improved methods apply to {1..n} only; explicit sets and the
+    # real-exponent families get Wolkowicz-Styan from their traces
+    improved = explicit is None and args.family in ("gcd", "lcm")
+    # every order's matrix is a leading block of the one at the top order
+    top = (None if improved and not args.with_actual
+           else build_matrix(args, explicit, n_values[-1] if n_values else None))
 
     def one_row(n: int | None) -> dict:
-        # the improved methods apply to {1..n} only; explicit sets and the
-        # real-exponent families get Wolkowicz-Styan from their traces
-        matrix = None
-        if explicit is None and args.family in ("gcd", "lcm"):
+        matrix = top if explicit is not None or top is None else top.leading(n)
+        if improved:
             report = improved_bounds(n, args.family)
         else:
-            matrix = build_matrix(args, explicit, n)
             report = ws_bounds(spectral_summary(matrix), args.family)
         if args.with_actual:
-            if matrix is None:
-                matrix = build_matrix(args, explicit, n)
             report = report.with_actual(jacobi_eigenvalues(matrix))
         return {
             "n": report.n, "family": report.family, "method": report.method,
@@ -261,20 +263,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     meta = base_meta(args, n_max=args.n_max, exact_only=args.exact_only,
                      checks=len(results), failures=len(bad))
     if args.fmt == "table":
-        # aggregate per check, then list each failure
-        order: list[str] = []
+        # aggregate per check, in order of first appearance, then list each failure
         totals: dict[str, list[int]] = {}
         for result in results:
-            if result.check not in totals:
-                order.append(result.check)
-                totals[result.check] = [0, 0]
-            totals[result.check][int(result.ok)] += 1
-        rows = [
-            {"check": name, "passed": totals[name][1],
-             "failed": totals[name][0],
-             "status": totals[name][0] == 0}
-            for name in order
-        ]
+            totals.setdefault(result.check, [0, 0])[result.ok] += 1
+        rows = [{"check": name, "passed": passed, "failed": failed, "status": failed == 0}
+                for name, (failed, passed) in totals.items()]
         for f in bad:
             rows.append({"check": f"FAILED {f.check}", "passed": f.n,
                          "failed": f.observed, "status": False})
@@ -313,14 +307,15 @@ def cmd_inertia_sweep(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     n_values = parse_n_range(args.n)
     enforce_cap(max(n_values), True, args.allow_large)
+    # every order's gcd and Gram matrix is a leading block of the top order's
+    top = gcd_matrix(IntegerSet.first_n(n_values[-1]))
+    gram = divisibility_gram(n_values[-1])
     rows = []
     for n in n_values:
-        lo, hi = mh_interval(n, 1, 0)
-        spec = jacobi_eigenvalues(gcd_matrix(IntegerSet.first_n(n)))
-        row = {
-            "n": n, "mh_lower": lo, "mh_upper": hi,
-            "actual_min": spec.min, "actual_max": spec.max,
-        }
+        lo, hi = mh_interval(n, 1, 0, gram)
+        spec = jacobi_eigenvalues(top.leading(n))
+        row = {"n": n, "mh_lower": lo, "mh_upper": hi,
+               "actual_min": spec.min, "actual_max": spec.max}
         spread = spec.max - spec.min
         if n >= 2:
             report = gcd_bounds(n)

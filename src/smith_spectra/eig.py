@@ -141,8 +141,9 @@ def spectral_summary(a: SymMatrix) -> SpectralSummary:
     """m and s^2 from the matrix traces: tr(A) and tr(A^2) = sum a_ij^2."""
     n = a.order
     if a.exact is not None:
-        trace = sum(a.exact[i][i] for i in range(n))
-        trace_sq = sum(v * v for row in a.exact for v in row)
+        # int64 holds each row's sum of squares; the rows add as Python ints
+        trace = sum(np.diagonal(a.exact).tolist())
+        trace_sq = sum((a.exact * a.exact).sum(axis=1).tolist())
         m = Fraction(trace, n)
         return SpectralSummary(n, m, Fraction(trace_sq, n) - m * m, exact=True)
     m = float(np.trace(a.entries)) / n

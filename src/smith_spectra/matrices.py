@@ -1,13 +1,13 @@
 """Constructors for gcd/lcm-family matrices on integer sets.
 
-Integer-valued families (gcd, lcm, divisibility Gram) are built in exact
-integers and carry that exact copy alongside the float64 entries handed to
-the eigensolver, so trace statistics can stay rational. Real-exponent
-families (power gcd, reciprocal lcm, mixed) are built directly in floating
-point.
+Integer-valued families (gcd, lcm, divisibility Gram) are built with numpy
+in exact integers, kept beside the float64 entries the eigensolver reads:
+int64 when n * max_entry^2 < 2^63, so every row's sum of squares fits, else
+Python ints. Real-exponent families are built directly in floating point.
 
-Matrices are immutable after construction: the float entry array is marked
-read-only and the eigensolver works on a private copy.
+Both arrays are read-only; the eigensolver works on a private copy. On
+{1..n} each matrix is the leading block of the one on {1..n+1}, so a run
+over n builds the top order once and slices it (:meth:`SymMatrix.leading`).
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class SymMatrix:
     entries: np.ndarray
     family: str
     source_set: IntegerSet
-    exact: tuple[tuple[int, ...], ...] | None = None
+    exact: np.ndarray | None = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -95,24 +95,31 @@ class SymMatrix:
         if not np.array_equal(e, e.T):
             raise ValueError("matrix entries are not symmetric")
         e.setflags(write=False)
+        if self.exact is not None:
+            exact = np.asarray(self.exact)
+            exact = exact if exact.dtype == np.int64 else np.array(self.exact, dtype=object)
+            # int64 only while every row's sum of squares fits (spectral_summary)
+            top = int(abs(exact).max())
+            exact = exact.astype(np.int64 if self.order * top * top < 1 << 63 else object,
+                                 copy=False)
+            exact.setflags(write=False)
+            object.__setattr__(self, "exact", exact)
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.entries)
 
     def leading(self, k: int) -> SymMatrix:
         """The leading principal k x k block: the same family, with the same
-        parameters, on the first k elements of the set. Its entries are a
-        view of these."""
+        parameters, on the first k elements of the set. Its arrays are views
+        of these; a block of a checked matrix skips __post_init__'s scans."""
         if not 1 <= k <= self.order:
             raise ValueError(f"k must lie in 1..{self.order}, got {k}")
-        return SymMatrix(
-            order=k,
-            entries=self.entries[:k, :k],
-            family=self.family,
-            source_set=IntegerSet(self.source_set.elements[:k]),
-            exact=None if self.exact is None else tuple(row[:k] for row in self.exact[:k]),
-            params=dict(self.params),
-        )
+        block = object.__new__(SymMatrix)
+        vars(block).update(vars(self), order=k, entries=self.entries[:k, :k],
+                           source_set=IntegerSet(self.source_set.elements[:k]),
+                           exact=None if self.exact is None else self.exact[:k, :k],
+                           params=dict(self.params))
+        return block
 
     def label(self) -> str:
         if not self.params:
@@ -121,14 +128,12 @@ class SymMatrix:
         return f"{self.family}({inner})"
 
 
-def _from_exact(rows: list[list[int]], family: str, s: IntegerSet) -> SymMatrix:
-    return SymMatrix(
-        order=len(rows),
-        entries=np.array(rows, dtype=np.float64),
-        family=family,
-        source_set=s,
-        exact=tuple(tuple(r) for r in rows),
-    )
+def _outer(ufunc: np.ufunc, family: str, s: IntegerSet) -> SymMatrix:
+    """ufunc(x_i, x_j) for np.gcd or np.lcm: in int64 while max(x)^2, which
+    bounds every entry, fits, else in Python ints."""
+    x = np.array(s.elements, dtype=np.int64 if s.max * s.max < 1 << 63 else object)
+    exact = ufunc.outer(x, x)
+    return SymMatrix(len(s), exact.astype(np.float64), family, s, exact)
 
 
 def _power(base: int, exponent: float) -> float:
@@ -142,16 +147,12 @@ def _power(base: int, exponent: float) -> float:
 
 def gcd_matrix(s: IntegerSet) -> SymMatrix:
     """Matrix with entry gcd(x_i, x_j); positive definite for any set."""
-    xs = s.elements
-    rows = [[gcd(a, b) for b in xs] for a in xs]
-    return _from_exact(rows, "gcd", s)
+    return _outer(np.gcd, "gcd", s)
 
 
 def lcm_matrix(s: IntegerSet) -> SymMatrix:
     """Matrix with entry lcm(x_i, x_j); indefinite whenever the set has >= 2 elements."""
-    xs = s.elements
-    rows = [[lcm(a, b) for b in xs] for a in xs]
-    return _from_exact(rows, "lcm", s)
+    return _outer(np.lcm, "lcm", s)
 
 
 def power_gcd_matrix(s: IntegerSet, epsilon: float) -> SymMatrix:
@@ -187,25 +188,24 @@ def divisibility_matrix(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return np.array([[1 if i % j == 0 else 0 for j in range(1, n + 1)] for i in range(1, n + 1)],
-                    dtype=np.int64)
+    k = np.arange(1, n + 1)
+    return (k[:, None] % k == 0).astype(np.int64)
 
 
 def divisibility_gram(n: int) -> SymMatrix:
-    """E E^T for the divisibility matrix; entry (i,j) counts common divisors of i and j."""
-    e = divisibility_matrix(n)
-    rows = (e @ e.T).tolist()
-    return _from_exact(rows, "divisibility_gram", IntegerSet.first_n(n))
+    """E E^T for the divisibility matrix; entry (i,j) counts common divisors
+    of i and j: tau(gcd(i, j)), with tau(i) the i-th row sum of E."""
+    k = np.arange(1, n + 1)
+    exact = divisibility_matrix(n).sum(axis=1)[np.gcd.outer(k, k) - 1]
+    s = IntegerSet.first_n(n)
+    return SymMatrix(n, exact.astype(np.float64), "divisibility_gram", s, exact)
 
 
 def matrix_to_csv(matrix: SymMatrix | np.ndarray, out: TextIO) -> None:
-    """Write the full square matrix, row-major, one row per line."""
-    a = matrix.entries if isinstance(matrix, SymMatrix) else matrix
-    exact = isinstance(matrix, SymMatrix) and matrix.exact is not None
-    rows = matrix.exact if exact else a
-    for row in rows:
-        if exact or np.issubdtype(a.dtype, np.integer):
-            out.write(",".join(str(int(v)) for v in row))
-        else:
-            out.write(",".join(f"{float(v):.10g}" for v in row))
-        out.write("\n")
+    """Write the full square matrix, row-major, one row per line: the exact
+    integers where there are some, else the float entries to 10 digits."""
+    if isinstance(matrix, SymMatrix):
+        matrix = matrix.entries if matrix.exact is None else matrix.exact
+    integer = matrix.dtype == object or np.issubdtype(matrix.dtype, np.integer)
+    for row in matrix.tolist():
+        out.write(",".join(str(v) if integer else f"{v:.10g}" for v in row) + "\n")

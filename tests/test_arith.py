@@ -1,6 +1,9 @@
 """Exact-arithmetic tests: every closed form is checked against a brute-force
 oracle that never touches the code path under test."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -338,6 +341,21 @@ def sign_counts(values) -> tuple[int, int, int]:
     positive = sum(1 for v in values if v > 0)
     negative = sum(1 for v in values if v < 0)
     return positive, negative, len(values) - positive - negative
+
+
+def test_verify_runs_the_sieve_once_per_process():
+    # run_checks asks the tables for many orders; they all slice one sieve
+    code = (
+        "from smith_spectra import arith, checks\n"
+        "real, runs = arith._linear_sieve, []\n"
+        "arith._linear_sieve = lambda n: runs.append(n) or real(n)\n"
+        "checks.run_checks(80)\n"
+        "print(len(runs))\n"
+    )
+    src = os.path.dirname(os.path.dirname(arith.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert int(proc.stdout) <= 1
 
 
 def test_sieve_sign_is_omega_parity():

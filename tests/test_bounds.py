@@ -12,9 +12,10 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from smith_spectra import arith, bounds, checks
+from smith_spectra import arith, bounds, checks, matrices
 from smith_spectra.arith import power_table, sieve_totient, zeta_table
 from smith_spectra.bounds import (
+    HONG_MAX_N,
     WS_FALLBACK_FLAG,
     BoundsReport,
     _hong_margin,
@@ -39,6 +40,7 @@ from smith_spectra.eig import (
 )
 from smith_spectra.matrices import (
     IntegerSet,
+    divisibility_gram,
     gcd_matrix,
     lcm_matrix,
     reciprocal_lcm_matrix,
@@ -268,6 +270,26 @@ class TestMattilaHaukkanen:
         rep = gcd_bounds(n)
         assert lo < rep.lambda_min_lower and rep.lambda_max_upper < hi
 
+    def test_sliced_gram_equals_a_fresh_build(self):
+        gram = divisibility_gram(60)
+        for n in range(1, 61):
+            assert repr(mh_interval(n, 1, 0, gram)) == repr(mh_interval(n, 1, 0))
+
+    def test_run_checks_builds_each_matrix_once(self, monkeypatch):
+        builds = []
+        for name in ("gcd_matrix", "lcm_matrix", "divisibility_gram"):
+            real = getattr(matrices, name)
+
+            def counting(*args, real=real, name=name):
+                builds.append(name)
+                return real(*args)
+
+            for module in (matrices, bounds, checks):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        checks.run_checks(80)
+        assert sorted(builds) == ["divisibility_gram", "gcd_matrix", "lcm_matrix"]
+
     def test_rejects_non_integral_exponent_difference(self):
         with pytest.raises(ValueError):
             mh_interval(10, 1.5, 0.0)
@@ -330,6 +352,13 @@ class TestHongConstant:
     def test_rejects_out_of_cap(self):
         with pytest.raises(ValueError, match=r"c_7 must certify 2\^21 = 2097152 matrices"):
             hong_cn(7)
+
+    @pytest.mark.parametrize("n", range(2, HONG_MAX_N + 1))
+    def test_witness_is_the_odd_difference_toeplitz_pattern(self, n):
+        # y_ij = 1 iff i >= j and i - j is 0 or odd
+        assert hong_cn(n).witness == tuple(
+            tuple(int(i == j or (i > j and (i - j) % 2 == 1)) for j in range(n))
+            for i in range(n))
 
     def test_c6_and_witness_pinned(self):
         const = hong_cn(6)

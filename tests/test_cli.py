@@ -339,6 +339,14 @@ PINNED_OUTPUTS = [
      "dc1a6dc451124a261501ec9e26cd9683505e6077598be9cf191d8913a09c7d78"),
     ("bounds --set 4,6,10 --with-actual", 0,
      "721bbf77ad25a5aefc8c91b95e897bfca1384f26787f7c5309f4fccc22b2ec41"),
+    # lcm entries whose squares overflow int64: an object exact array
+    ("bounds --set 69999999,70000001 --family lcm --format csv", 0,
+     "f0dd5438d1011deff6432047f02f9fb728a3291396abdc0a65b227f3f0f1b1d0"),
+    ("bounds --set 3,94906265,94906267 --family lcm --with-actual --format csv", 0,
+     "7fa97795a5b786ba29967eb7381f1f111e958aa038dc947f9aedb3074f3fa438"),
+    # the benchmark's verify workload
+    ("verify --n-max 80 --format json", 1,
+     "b8c1ad3001ecd3ef1cbe3ab0b7ab7a603ed7c3839b8f80e1e3a50cfbbd0d03c1"),
 ]
 
 

@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smith_spectra.eig import spectral_summary
 from smith_spectra.matrices import (
     IntegerSet,
     divisibility_gram,
@@ -39,7 +41,7 @@ class TestIntegerSet:
 class TestGcdMatrix:
     def test_s2(self):
         m = gcd_matrix(IntegerSet.of(1, 2))
-        assert m.exact == ((1, 1), (1, 2))
+        assert m.exact.tolist() == [[1, 1], [1, 2]]
 
     def test_consecutive_integers_coprime(self):
         m = gcd_matrix(IntegerSet.first_n(3))
@@ -57,7 +59,7 @@ class TestGcdMatrix:
 class TestLcmMatrix:
     def test_s2(self):
         m = lcm_matrix(IntegerSet.of(1, 2))
-        assert m.exact == ((1, 2), (2, 2))
+        assert m.exact.tolist() == [[1, 2], [2, 2]]
 
     def test_last_offdiagonal_on_first_n(self):
         m = lcm_matrix(IntegerSet.first_n(4))
@@ -79,6 +81,34 @@ def test_gcd_lcm_entry_product_identity(elements):
     for i in range(n):
         for j in range(n):
             assert g.exact[i][j] * l.exact[i][j] == s.elements[i] * s.elements[j]
+
+
+# sets on both sides of n * max_entry^2 < 2^63, where the exact array
+# switches from int64 to Python ints
+INT64_BOUNDARY = [
+    (gcd_matrix, (1, 2**31 - 1), np.int64),
+    (gcd_matrix, (1, 2**31), object),
+    (gcd_matrix, (2, 2**64), object),
+    (lcm_matrix, (46340, 46341), np.int64),
+    (lcm_matrix, (46341, 46342), object),
+    (lcm_matrix, (69999999, 70000001), object),
+    (lcm_matrix, (3, 94906265, 94906267), object),
+]
+
+
+@pytest.mark.parametrize("build, elements, dtype", INT64_BOUNDARY)
+def test_exact_dtype_boundary(build, elements, dtype):
+    op = gcd if build is gcd_matrix else lcm
+    rows = [[op(a, b) for b in elements] for a in elements]
+    n = len(elements)
+    m = build(IntegerSet(elements))
+    assert m.exact.dtype == dtype
+    assert m.exact.tolist() == rows
+    assert m.entries.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+    # every row's sum of squares, which int64 must hold
+    mean = Fraction(sum(rows[i][i] for i in range(n)), n)
+    trace_sq = sum(v * v for row in rows for v in row)
+    assert spectral_summary(m).s_squared == Fraction(trace_sq, n) - mean * mean
 
 
 class TestPowerFamilies:
@@ -167,7 +197,13 @@ class TestLeadingBlock:
             block, direct = full.leading(k), build(k)
             assert block.order == k
             assert block.entries.tobytes() == direct.entries.tobytes()
-            assert block.exact == direct.exact
+            if direct.exact is None:
+                assert block.exact is None
+            else:
+                assert block.exact.tolist() == direct.exact.tolist()
+                assert np.shares_memory(block.exact, full.exact)
+                with pytest.raises(ValueError):
+                    block.exact[0, 0] = 99
             assert block.source_set == direct.source_set
             assert (block.family, block.params) == (direct.family, direct.params)
             assert np.shares_memory(block.entries, full.entries)
