@@ -17,7 +17,9 @@ Families:
 * Hong-Lee upper bounds for reciprocal lcm matrices.
 * Hong's constant c_n (the minimum over unit lower-triangular 0/1 Gram
   matrices, by a branch and bound on the exact certificate
-  lambda_min >= 1/||Y^-1||_F^2) with its smallest-eigenvalue lower bound.
+  lambda_min >= 1/||Y^-1||_F^2, whose integers for every Y come from one
+  row-by-row recursion over the rows of Y^-1) with its smallest-eigenvalue
+  lower bound.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ METHOD_WS = "ws"
 # the plain Wolkowicz-Styan bounds, which are equalities there.
 WS_FALLBACK_FLAG = "ws_equality"
 
-# patterns per chunk of hong_cn's certificates; it sets the memory, never
-# the result
-HONG_CHUNK = 512
 # the largest order hong_cn takes: c_7 would need 2^21 certificates
 HONG_MAX_N = 6
 
@@ -235,68 +234,51 @@ def hong_lee_bounds(s: IntegerSet, r: float, k: int) -> tuple[float, float]:
     return mean_bound, kth_bound
 
 
-def _unit_lower(n: int, patterns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The unit lower-triangular 0/1 matrices Y of order n with the given
-    pattern numbers, as an int64 (n, n, B) array: Y_k is ``[:, :, k]``.
-    Written into ``out`` when it is given.
+def _unit_lower(n: int, pattern: int) -> np.ndarray:
+    """The unit lower-triangular 0/1 matrix Y of order n with the given
+    pattern number, as an int64 (n, n) array.
 
-    Bit j of a pattern, counted from the most significant, fills the j-th
+    Bit j of the pattern, counted from the most significant, fills the j-th
     below-diagonal position, row by row, so the patterns 0, 1, 2, ... are
-    the matrices in ``itertools.product`` order. The batch axis is last so
-    that every elementwise step below runs over B contiguous entries.
+    the matrices in ``itertools.product`` order.
     """
     rows, cols = np.tril_indices(n, -1)
-    shifts = np.arange(rows.size - 1, -1, -1)
-    diagonal = np.arange(n)
-    if out is None:
-        out = np.empty((n, n, patterns.size), dtype=np.int64)
-    out.fill(0)
-    out[diagonal, diagonal] = 1
-    out[rows, cols] = (patterns >> shifts[:, None]) & 1
-    return out
-
-
-def _inverse_unit_lower(y: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Y^-1 of every unit lower-triangular integer matrix of the (n, n, B)
-    int64 array ``y``, exactly, by forward substitution, written into
-    ``out``: row i of X = Y^-1 is e_i minus the sum over j < i of Y_ij
-    times row j of X. ``scratch``, of y's shape, holds the products."""
-    out.fill(0)
-    for i in range(y.shape[0]):
-        out[i, i] = 1
-        products = np.multiply(y[i, :i, None], out[:i, :i], out=scratch[:i, :i])
-        products.sum(axis=0, out=out[i, :i])
-        np.negative(out[i, :i], out=out[i, :i])
-    return out
+    y = np.eye(n, dtype=np.int64)
+    y[rows, cols] = (pattern >> np.arange(rows.size - 1, -1, -1)) & 1
+    return y
 
 
 def _trace_certificates(n: int) -> np.ndarray:
     """T_k = ||Y_k^-1||_F^2 for every pattern k of order n, in pattern
-    order, as int64; built HONG_CHUNK patterns at a time.
+    order, as int64, built row by row.
 
-    Every chunk has the same size (a power of two), so Y, Y^-1 and the
-    squares are three arrays allocated once and overwritten per chunk:
-    allocating them per chunk made glibc give the top of its heap back to
-    the system and fault it in again, chunk after chunk, in some process
-    layouts."""
-    count = 1 << (n * (n - 1) // 2)
-    size = min(HONG_CHUNK, count)
-    certificates = np.empty(count, dtype=np.int64)
-    y = np.empty((n, n, size), dtype=np.int64)
-    x = np.empty_like(y)
-    squares = np.empty_like(y)
-    for start in range(0, count, size):
-        _unit_lower(n, np.arange(start, start + size), out=y)
-        _inverse_unit_lower(y, x, squares)
-        np.multiply(x, x, out=squares)
-        squares.sum(axis=(0, 1), out=certificates[start:start + size])
+    The first i rows of Y fix the first i rows of X = Y^-1: row i of X is
+    e_i - b X[:i], with b the bits of row i of Y. Column i of X[:i] is
+    zero, so that row adds exactly 1 + b^T (X[:i] X[:i]^T) b to T. Row
+    i's bits are the lowest i bits of the pattern number of the first
+    i + 1 rows, so those patterns are the (prefix, row bits) pairs in
+    row-major order.
+    """
+    certificates = np.ones(1, dtype=np.int64)
+    x = np.ones((1, 1, 1), dtype=np.int64)  # X[:i, :i] of every prefix
+    for i in range(1, n):
+        bits = (np.arange(1 << i)[:, None] >> np.arange(i - 1, -1, -1)) & 1
+        gram = x @ x.transpose(0, 2, 1)
+        quad = np.einsum("bj,pjk,bk->pb", bits, gram, bits)
+        certificates = (certificates[:, None] + 1 + quad).ravel()
+        if i < n - 1:
+            grown = np.zeros((x.shape[0], bits.shape[0], i + 1, i + 1), dtype=np.int64)
+            grown[:, :, :i, :i] = x[:, None]
+            grown[:, :, i, :i] = -np.einsum("bj,pjk->pbk", bits, x)
+            grown[:, :, i, i] = 1
+            x = grown.reshape(-1, i + 1, i + 1)
     return certificates
 
 
 def _hong_margin(n: int) -> float:
     """A bound on |Jacobi lambda_min(Z) - lambda_min(Z)| for every Gram
     matrix Z = Y Y^T of order n that :func:`jacobi_eigenvalues` solves
-    with its default sweep cap (its tolerance is always DEFAULT_TOL).
+    (its tolerance is always DEFAULT_TOL, its sweep cap DEFAULT_MAX_SWEEPS).
 
     The solver stops once the off-diagonal Frobenius norm is at most
     DEFAULT_TOL * ||Z||_F, so by Weyl's inequality the diagonal it returns
@@ -349,12 +331,12 @@ def hong_cn(n: int) -> HongConstant:
         certificate = Fraction(1, int(certificates[pattern]))
         if best is not None and certificate > Fraction(best) + margin:
             break
-        y = _unit_lower(n, np.array([pattern]))[:, :, 0]
+        y = _unit_lower(n, pattern)
         # integer entries: Y Y^T is exact, and so is its float64 copy
         value = jacobi_eigenvalues(y @ y.T).min
         if best is None or (value, pattern) < (best, witness):
             best, witness = value, pattern
-    y = _unit_lower(n, np.array([witness]))[:, :, 0]
+    y = _unit_lower(n, witness)
     return HongConstant(n, best, tuple(tuple(int(v) for v in row) for row in y))
 
 

@@ -7,7 +7,8 @@ compiled on first import) where a C compiler is found, and in numpy
 (backend ``"python"``) otherwise. Both give bit-identical results, and
 nothing selects between them: :func:`default_backend` names the one that
 runs.
-There is one tolerance, :data:`DEFAULT_TOL`, and no caller sets another;
+There is one tolerance, :data:`DEFAULT_TOL`, and one sweep cap,
+:data:`DEFAULT_MAX_SWEEPS`, and no caller sets either;
 :attr:`Spectrum.off_norm` reports the residual reached. This solver is the
 ground truth every bound in :mod:`smith_spectra.bounds` is validated
 against, which is why it does not delegate to an external eigensolver.
@@ -118,19 +119,16 @@ def _as_array(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, float]:
     return work, fro
 
 
-def jacobi_eigenvalues(
-    a: SymMatrix | np.ndarray,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> Spectrum:
+def jacobi_eigenvalues(a: SymMatrix | np.ndarray) -> Spectrum:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Converged when the off-diagonal Frobenius norm falls below
     ``DEFAULT_TOL * ||A||_F``; raises :class:`JacobiConvergenceError` if
-    the sweep cap is reached first.
+    :data:`DEFAULT_MAX_SWEEPS` sweeps are reached first.
     """
     work, fro = _as_array(a)
     target = DEFAULT_TOL * fro
-    sweeps, off = _kernel.cyclic_jacobi(work, target, max_sweeps)
+    sweeps, off = _kernel.cyclic_jacobi(work, target, DEFAULT_MAX_SWEEPS)
     if off > target:
         raise JacobiConvergenceError(sweeps, off, target)
     values = np.sort(np.diagonal(work))

@@ -4,6 +4,7 @@ traces; golden constants for the small-order cross terms are recomputed
 from the solver rather than hard-coded."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -19,7 +20,6 @@ from smith_spectra.bounds import (
     WS_FALLBACK_FLAG,
     BoundsReport,
     _hong_margin,
-    _inverse_unit_lower,
     _trace_certificates,
     _unit_lower,
     closed_form_summary,
@@ -387,16 +387,27 @@ class TestHongConstant:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_inverse_is_exact_and_certifies_the_smallest_eigenvalue(self, n):
         _, reference, y = _hong_exhaustive(n)
-        stack = _unit_lower(n, np.arange(y.shape[0]))
-        assert np.array_equal(stack.transpose(2, 0, 1), y)
-        inverse = _inverse_unit_lower(stack, np.empty_like(stack), np.empty_like(stack))
-        identity = np.einsum("ijb,jkb->ikb", stack, inverse)
+        assert all(np.array_equal(_unit_lower(n, k), y[k]) for k in range(y.shape[0]))
+        inverse = np.rint(np.linalg.inv(y)).astype(np.int64)
+        identity = y @ inverse
         assert identity.dtype == np.int64
-        assert np.array_equal(identity, np.broadcast_to(np.eye(n, dtype=np.int64)[:, :, None],
+        assert np.array_equal(identity, np.broadcast_to(np.eye(n, dtype=np.int64),
                                                         identity.shape))
         certificates = _trace_certificates(n)
-        assert np.array_equal(certificates, (inverse * inverse).sum(axis=(0, 1)))
+        assert certificates.dtype == np.int64
+        assert np.array_equal(certificates, (inverse * inverse).sum(axis=(1, 2)))
         assert np.all(1.0 / certificates <= reference)
+
+    def test_certificates_stay_small_in_memory(self):
+        # the last row of Y^-1 is never built for all 2^15 patterns at once
+        _trace_certificates(6)
+        tracemalloc.start()
+        try:
+            _trace_certificates(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, f"_trace_certificates(6) peaked at {peak} bytes"
 
     @staticmethod
     def _solved_patterns(n, monkeypatch):
