@@ -17,16 +17,15 @@ Families:
 * Hong-Lee upper bounds for reciprocal lcm matrices.
 * Hong's constant c_n (the minimum over unit lower-triangular 0/1 Gram
   matrices, by a branch and bound on the exact certificate
-  lambda_min >= 1/||Y^-1||_F^2, whose integers for every Y come from one
-  row-by-row recursion over the rows of Y^-1) with its smallest-eigenvalue
-  lower bound.
+  lambda_min >= 1/T, T = ||Y^-1||_F^2 an integer built row by row for
+  every Y, cut at one integer T) with its smallest-eigenvalue lower bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import sqrt
+from math import ceil, sqrt
 
 import numpy as np
 
@@ -296,6 +295,13 @@ def _hong_margin(n: int) -> float:
     return 100.0 * (weyl + rounding)
 
 
+def _smallest_eigenvalue(n: int, pattern: int) -> float:
+    """The Jacobi lambda_min of Y Y^T, Y = _unit_lower(n, pattern)."""
+    y = _unit_lower(n, pattern)
+    # integer entries: Y Y^T is exact, and so is its float64 copy
+    return jacobi_eigenvalues(y @ y.T).min
+
+
 def hong_cn(n: int) -> HongConstant:
     """Hong's constant c_n: the smallest eigenvalue of Y Y^T minimized over
     all 2^(n(n-1)/2) unit lower-triangular 0/1 matrices Y, with the first Y
@@ -306,14 +312,14 @@ def hong_cn(n: int) -> HongConstant:
     The search is a branch and bound on an exact certificate. Y Y^T is
     positive definite, so lambda_min(Y Y^T) = 1 / lambda_max(Y^-T Y^-1)
     >= 1 / tr(Y^-T Y^-1) = 1 / T with T = ||Y^-1||_F^2, and Y^-1 is an
-    integer matrix, so T is computed exactly for every Y. The matrices are
-    solved one at a time in order of decreasing T (ties in pattern order),
-    and the search stops at the first Y whose 1/T exceeds the best solved
-    value plus :func:`_hong_margin`; that comparison is made in exact
-    rationals. Every Y left unsolved then has a solver value above the
-    best one, so c_n and the witness are those of solving all of them (at
-    n = 6 one solve instead of 32768: after the witness, T = 70, the next
-    certificate is 1/61 = 0.0164 against c_6 = 0.0148).
+    integer matrix, so T is computed exactly for every Y. The first Y with
+    the largest T is solved, then every Y whose T reaches the cutoff
+    ceil(1 / (best + :func:`_hong_margin`)), computed in rationals: T is an
+    integer, so 1/T <= best + margin exactly when T reaches it. Every Y left
+    unsolved then has a solver value above the best one, so c_n and the
+    witness are those of solving all of them (at n = 6 one solve instead of
+    32768: after the witness, T = 70, the next certificate is 1/61 = 0.0164
+    against c_6 = 0.0148).
     """
     if n < 2:
         raise ValueError(f"c_n needs n >= 2, got {n}")
@@ -323,19 +329,12 @@ def hong_cn(n: int) -> HongConstant:
             f"c_{n} must certify 2^{m} = {1 << m} matrices; capped at n = {HONG_MAX_N}"
         )
     certificates = _trace_certificates(n)
-    # weakest certificate first; a stable sort keeps ties in pattern order
-    order = np.argsort(-certificates, kind="stable")
-    margin = Fraction(_hong_margin(n))
-    best = witness = None
-    for pattern in map(int, order):
-        certificate = Fraction(1, int(certificates[pattern]))
-        if best is not None and certificate > Fraction(best) + margin:
-            break
-        y = _unit_lower(n, pattern)
-        # integer entries: Y Y^T is exact, and so is its float64 copy
-        value = jacobi_eigenvalues(y @ y.T).min
-        if best is None or (value, pattern) < (best, witness):
-            best, witness = value, pattern
+    first = int(np.argmax(certificates))
+    best = _smallest_eigenvalue(n, first)
+    cutoff = ceil(1 / (Fraction(best) + Fraction(_hong_margin(n))))
+    best, witness = min([(best, first)] + [
+        (_smallest_eigenvalue(n, pattern), pattern)
+        for pattern in map(int, np.flatnonzero(certificates >= cutoff)) if pattern != first])
     y = _unit_lower(n, witness)
     return HongConstant(n, best, tuple(tuple(int(v) for v in row) for row in y))
 

@@ -201,11 +201,9 @@ def divisibility_gram(n: int) -> SymMatrix:
     return SymMatrix(n, exact.astype(np.float64), "divisibility_gram", s, exact)
 
 
-def matrix_to_csv(matrix: SymMatrix | np.ndarray, out: TextIO) -> None:
+def matrix_to_csv(matrix: SymMatrix, out: TextIO) -> None:
     """Write the full square matrix, row-major, one row per line: the exact
     integers where there are some, else the float entries to 10 digits."""
-    if isinstance(matrix, SymMatrix):
-        matrix = matrix.entries if matrix.exact is None else matrix.exact
-    integer = matrix.dtype == object or np.issubdtype(matrix.dtype, np.integer)
-    for row in matrix.tolist():
+    integer = matrix.exact is not None
+    for row in (matrix.exact if integer else matrix.entries).tolist():
         out.write(",".join(str(v) if integer else f"{v:.10g}" for v in row) + "\n")

@@ -439,6 +439,17 @@ class TestHongConstant:
         unsolved = np.setdiff1d(np.arange(certificates.size), solved)
         assert all(Fraction(1, int(certificates[k])) > cutoff for k in unsolved)
 
+    @pytest.mark.parametrize("slack,count", [(Fraction(0), 4), (Fraction(1, 10**40), 1)])
+    def test_cutoff_admits_a_certificate_equal_to_it(self, slack, count, monkeypatch):
+        # best + margin = 1/61 - slack exactly: the three T = 61 matrices
+        # join the witness (T = 70) iff the slack is 0, and a cutoff
+        # rounded to floats would lose the 1e-40
+        expected = hong_cn(6)
+        margin = Fraction(1, 61) - Fraction(expected.c_n) - slack
+        monkeypatch.setattr(bounds, "_hong_margin", lambda n: margin)
+        const, solved = self._solved_patterns(6, monkeypatch)
+        assert len(solved) == count and len(set(solved)) == count
+        assert const == expected
 
     def test_margin_exceeds_the_solver_error(self):
         smallest, reference, _ = _hong_exhaustive(6)
