@@ -37,7 +37,7 @@ from smith_spectra.eig import (
     SpectralSummary,
     jacobi_eigenvalues,
 )
-from smith_spectra.matrices import IntegerSet, SymMatrix, divisibility_gram
+from smith_spectra.matrices import IntegerSet, divisibility_gram
 
 METHOD_WS = "ws"
 
@@ -188,7 +188,7 @@ def lcm_bounds(n: int) -> BoundsReport:
 
 
 def mh_interval(n: int, alpha: float, beta: float,
-                gram: SymMatrix | None = None) -> tuple[float, float]:
+                t_n: float | None = None) -> tuple[float, float]:
     """Mattila-Haukkanen interval containing every eigenvalue of the
     mixed-power matrix (gcd^alpha * lcm^beta) on {1..n}:
 
@@ -196,7 +196,7 @@ def mh_interval(n: int, alpha: float, beta: float,
                           T_n max(1, n^(2b)) max_i |J_{a-b}(i)| ]
 
     with T_n the largest eigenvalue of the divisibility Gram matrix E E^T of
-    order n, the leading block of ``gram`` (order >= n) when one is given.
+    order n: ``t_n`` when the caller has solved that matrix, else solved here.
     alpha - beta must be a positive integer so the Jordan totient is exact.
     """
     if n < 1:
@@ -210,7 +210,8 @@ def mh_interval(n: int, alpha: float, beta: float,
         )
     jt = arith.jordan_totient(n, k)
     max_j = max(abs(v) for v in jt.values[1:])
-    t_n = jacobi_eigenvalues(divisibility_gram(n) if gram is None else gram.leading(n)).max
+    if t_n is None:
+        t_n = jacobi_eigenvalues(divisibility_gram(n)).max
     hi = t_n * max(1.0, float(n) ** (2 * beta)) * max_j
     lo = 2.0 * min(1.0, float(n) ** (alpha + beta)) - hi
     return lo, hi

@@ -6,9 +6,10 @@ bound family against it. They build the gcd, lcm and divisibility Gram
 matrices once, at the largest order checked, and take each smaller order
 as its leading principal block (:meth:`SymMatrix.leading`): the matrix on
 {1..n} is the leading n x n block of the one on {1..n+1}, which is also
-what the interlacing check rests on. Each check yields one result per
-(check, n), so a failure pinpoints the exact instance; violations are reported, never silently
-skipped.
+what the interlacing check rests on. All the blocks are solved in one
+batch (:func:`smith_spectra.eig.jacobi_spectra`) before any check runs.
+Each check yields one result per (check, n), so a failure pinpoints the
+exact instance; violations are reported, never silently skipped.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from smith_spectra.bounds import (
     mh_interval,
     ws_bounds,
 )
-from smith_spectra.eig import Spectrum, jacobi_eigenvalues, spectral_summary
+from smith_spectra.eig import Spectrum, jacobi_spectra, spectral_summary
 from smith_spectra.matrices import IntegerSet, divisibility_gram, gcd_matrix, lcm_matrix
 
 INTERLACING_CAP = 60
@@ -127,11 +128,19 @@ def _spectral_checks(n_max: int) -> list[CheckResult]:
     largest = {family: build(IntegerSet.first_n(n_max))
                for family, build in (("gcd", gcd_matrix), ("lcm", lcm_matrix))}
     gram = divisibility_gram(min(n_max, MH_CAP))
+    # every solve first, in one batch: the gcd and lcm blocks, then the Gram
+    # blocks whose largest eigenvalue is the Mattila-Haukkanen T_n
+    blocks = {(n, family): largest[family].leading(n)
+              for n in range(2, n_max + 1) for family in ("gcd", "lcm")}
+    mh_orders = range(2, min(n_max, MH_CAP) + 1)
+    solved = jacobi_spectra([*blocks.values(), *(gram.leading(n) for n in mh_orders)])
+    spectra = dict(zip(blocks, solved))
+    t_max = {n: spec.max for n, spec in zip(mh_orders, solved[len(blocks):])}
     prev: dict[str, Spectrum] = {}
     for n in range(2, n_max + 1):
         for family in ("gcd", "lcm"):
-            matrix = largest[family].leading(n)
-            spec = jacobi_eigenvalues(matrix)
+            matrix = blocks[n, family]
+            spec = spectra[n, family]
             scale = float(np.max(np.abs(matrix.entries)))
 
             if family == "gcd":
@@ -198,7 +207,7 @@ def _spectral_checks(n_max: int) -> list[CheckResult]:
                         "smith_determinant_eigenproduct", n, ok,
                         "" if ok else f"{det:.6e} vs {expected}"))
                 if n <= MH_CAP:
-                    lo, hi = mh_interval(n, 1, 0, gram)
+                    lo, hi = mh_interval(n, 1, 0, t_max[n])
                     # closed interval; at n = 2 the gcd matrix IS the
                     # divisibility Gram matrix, so the upper endpoint is hit
                     ok = lo - slack <= spec.min and spec.max <= hi + slack

@@ -31,8 +31,10 @@ from smith_spectra.bounds import gcd_bounds, improved_bounds, mh_interval, ws_bo
 from smith_spectra.checks import failures, run_checks
 from smith_spectra.eig import (
     JacobiConvergenceError,
+    Spectrum,
     default_backend,
     jacobi_eigenvalues,
+    jacobi_spectra,
     spectral_summary,
 )
 from smith_spectra.matrices import (
@@ -209,14 +211,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     top = (None if improved and not args.with_actual
            else build_matrix(args, explicit, n_values[-1] if n_values else None))
 
-    def one_row(n: int | None) -> dict:
+    def one_row(n: int | None, actual: Spectrum | None) -> dict:
         matrix = top if explicit is not None or top is None else top.leading(n)
         if improved:
             report = improved_bounds(n, args.family)
         else:
             report = ws_bounds(spectral_summary(matrix), args.family)
-        if args.with_actual:
-            report = report.with_actual(jacobi_eigenvalues(matrix))
+        if actual is not None:
+            report = report.with_actual(actual)
         return {
             "n": report.n, "family": report.family, "method": report.method,
             "m": report.m, "s": report.s,
@@ -226,7 +228,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "flag": report.flag,
         }
 
-    rows = [one_row(None)] if explicit is not None else [one_row(n) for n in n_values]
+    targets = [None] if explicit is not None else n_values
+    # the solves run first, in one batch; without --with-actual there are none
+    actuals = (jacobi_spectra([top if explicit is not None else top.leading(n)
+                               for n in targets])
+               if args.with_actual else [None] * len(targets))
+    rows = [one_row(n, actual) for n, actual in zip(targets, actuals)]
     meta = base_meta(args, family=args.family, with_actual=args.with_actual)
     emit(args, BOUNDS_COLUMNS, rows, meta)
     return 0
@@ -310,10 +317,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # every order's gcd and Gram matrix is a leading block of the top order's
     top = gcd_matrix(IntegerSet.first_n(n_values[-1]))
     gram = divisibility_gram(n_values[-1])
+    # the gcd blocks and the Gram blocks (for T_n) solved in one batch
+    solved = jacobi_spectra([*(top.leading(n) for n in n_values),
+                             *(gram.leading(n) for n in n_values)])
     rows = []
-    for n in n_values:
-        lo, hi = mh_interval(n, 1, 0, gram)
-        spec = jacobi_eigenvalues(top.leading(n))
+    for n, spec, gram_spec in zip(n_values, solved, solved[len(n_values):]):
+        lo, hi = mh_interval(n, 1, 0, gram_spec.max)
         row = {"n": n, "mh_lower": lo, "mh_upper": hi,
                "actual_min": spec.min, "actual_max": spec.max}
         spread = spec.max - spec.min

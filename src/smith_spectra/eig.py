@@ -16,6 +16,8 @@ against, which is why it does not delegate to an external eigensolver.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, sqrt
@@ -108,13 +110,15 @@ def _as_array(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, float]:
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     work = np.array(entries, dtype=np.float64, order="C", copy=True)
+    # the norm scales the convergence target, so every matrix needs it; the
+    # two checks below only a raw array can fail, as a SymMatrix is checked
+    # finite and symmetric when it is built and its leading blocks inherit that
     fro = _frobenius_norm(work)
-    # only a raw array can fail this: a SymMatrix is checked when it is built
     if not isfinite(fro):
         raise ValueError(
             "matrix is out of float range: an entry or the sum of the squared "
             "entries is not finite")
-    if not np.array_equal(work, work.T):
+    if not isinstance(a, SymMatrix) and not np.array_equal(work, work.T):
         raise ValueError("matrix is not symmetric")
     return work, fro
 
@@ -133,6 +137,29 @@ def jacobi_eigenvalues(a: SymMatrix | np.ndarray) -> Spectrum:
         raise JacobiConvergenceError(sweeps, off, target)
     values = np.sort(np.diagonal(work))
     return Spectrum(tuple(float(v) for v in values), sweeps, off)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # where the platform has no affinity call
+
+
+def jacobi_spectra(matrices: Sequence[SymMatrix | np.ndarray]) -> list[Spectrum]:
+    """``[jacobi_eigenvalues(m) for m in matrices]``, with the solves spread
+    over one thread per CPU this process may run on.
+
+    The results are in input order and equal the sequential loop's in every
+    field. A solve that raises makes this raise the same exception, the
+    first in input order.
+    """
+    # imported here: at module level its logging import would slow every start
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max(1, min(_cpus(), len(matrices)))) as pool:
+        # the module's name, looked up now, so that a wrapped solver sees each solve
+        return list(pool.map(jacobi_eigenvalues, matrices))
 
 
 def spectral_summary(a: SymMatrix) -> SpectralSummary:

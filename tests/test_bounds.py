@@ -273,7 +273,8 @@ class TestMattilaHaukkanen:
     def test_sliced_gram_equals_a_fresh_build(self):
         gram = divisibility_gram(60)
         for n in range(1, 61):
-            assert repr(mh_interval(n, 1, 0, gram)) == repr(mh_interval(n, 1, 0))
+            t_n = jacobi_eigenvalues(gram.leading(n)).max
+            assert repr(mh_interval(n, 1, 0, t_n)) == repr(mh_interval(n, 1, 0))
 
     def test_run_checks_builds_each_matrix_once(self, monkeypatch):
         builds = []

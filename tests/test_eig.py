@@ -1,22 +1,27 @@
 """Solver tests: exact 2x2 spectra, an independent LAPACK oracle
 (numpy.linalg.eigvalsh) for larger matrices, and the structural spectrum
 properties (trace consistency, interlacing, determinant). The solver
-tests run once through each kernel that exists."""
+tests run once through each kernel that exists. The batch solver
+``jacobi_spectra`` is held to the sequential loop of single solves."""
 
+import os
+import threading
 from math import sqrt
 
 import numpy as np
 import pytest
 
-from smith_spectra import eig
+from smith_spectra import _jacobi_py, eig
 from smith_spectra.arith import smith_determinant
+from smith_spectra.checks import MH_CAP
 from smith_spectra.eig import (
     JacobiConvergenceError,
     available_backends,
     jacobi_eigenvalues,
+    jacobi_spectra,
     spectral_summary,
 )
-from smith_spectra.matrices import IntegerSet, gcd_matrix, lcm_matrix
+from smith_spectra.matrices import IntegerSet, divisibility_gram, gcd_matrix, lcm_matrix
 
 
 @pytest.fixture
@@ -170,6 +175,92 @@ class TestSpectrumProperties:
             det = float(np.prod(spec.eigenvalues))
             expected = smith_determinant(n)
             assert det == pytest.approx(expected, rel=1e-6)
+
+
+def verify_blocks(n_max: int = 80) -> list:
+    """The matrices ``verify --n-max n_max`` solves: the gcd and lcm blocks
+    of orders 2..n_max, then the divisibility Gram blocks of orders
+    2..min(n_max, MH_CAP)."""
+    gcd, lcm = (build(IntegerSet.first_n(n_max)) for build in (gcd_matrix, lcm_matrix))
+    top = min(n_max, MH_CAP)
+    gram = divisibility_gram(top)
+    return ([m.leading(n) for n in range(2, n_max + 1) for m in (gcd, lcm)]
+            + [gram.leading(n) for n in range(2, top + 1)])
+
+
+def sequential(matrices) -> list:
+    return [jacobi_eigenvalues(m) for m in matrices]
+
+
+@pytest.fixture
+def kernel_threads(monkeypatch) -> list[int]:
+    """The thread of each kernel call the solvers make from now on."""
+    threads = []
+    real = eig._kernel.cyclic_jacobi
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(eig._kernel, "cyclic_jacobi", recording)
+    return threads
+
+
+class TestJacobiSpectra:
+    def test_equals_the_sequential_loop_on_the_verify_blocks(self):
+        blocks = verify_blocks()
+        assert len(blocks) == 217
+        assert repr(jacobi_spectra(blocks)) == repr(sequential(blocks))
+
+    def test_equals_the_sequential_loop_on_the_numpy_kernel(self, monkeypatch):
+        monkeypatch.setattr(eig, "_kernel", _jacobi_py)
+        blocks = [m for m in verify_blocks() if m.order <= 30]
+        assert repr(jacobi_spectra(blocks)) == repr(sequential(blocks))
+
+    def test_empty_and_single(self):
+        assert jacobi_spectra([]) == []
+        a = rng_symmetric(6, 5)
+        assert repr(jacobi_spectra([a])) == repr(sequential([a]))
+
+    def test_raises_the_first_error_in_input_order(self):
+        not_finite = np.eye(3)
+        not_finite[1, 1] = float("inf")
+        batch = [rng_symmetric(5, 6), np.array([[1.0, 2.0], [0.0, 1.0]]),
+                 not_finite, rng_symmetric(7, 7)]
+        with pytest.raises(ValueError) as looped:
+            sequential(batch)
+        with pytest.raises(ValueError) as batched:
+            jacobi_spectra(batch)
+        assert str(batched.value) == str(looped.value) == "matrix is not symmetric"
+
+    def test_solves_through_the_module_name(self, monkeypatch):
+        # a wrapper installed on the module sees every solve of a batch
+        solved = []
+        real = eig.jacobi_eigenvalues
+        monkeypatch.setattr(eig, "jacobi_eigenvalues",
+                            lambda m: solved.append(len(m)) or real(m))
+        jacobi_spectra([np.eye(2), np.eye(3), np.eye(4)])
+        assert sorted(solved) == [2, 3, 4]
+
+    @pytest.mark.skipif(eig._cpus() < 2, reason="needs 2 CPUs")
+    def test_runs_the_kernel_on_more_than_one_thread(self, kernel_threads):
+        jacobi_spectra(verify_blocks())
+        assert len(kernel_threads) == 217
+        assert len(set(kernel_threads)) > 1
+
+    @pytest.mark.parametrize("cpus", ["affinity", "cpu_count"])
+    def test_one_cpu_gives_the_same_results_on_one_thread(self, monkeypatch,
+                                                          kernel_threads, cpus):
+        blocks = verify_blocks(40)
+        expected = repr(sequential(blocks))
+        kernel_threads.clear()
+        if cpus == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:  # a platform without sched_getaffinity, where cpu_count is unknown
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert repr(jacobi_spectra(blocks)) == expected
+        assert len(set(kernel_threads)) == 1
 
 
 @by_backend
