@@ -1,15 +1,15 @@
 """Verification suites: every library invariant, swept over a range of n.
 
 Exact checks compare closed forms against brute-force oracles as integer or
-rational equalities. Spectral checks validate the solver output and every
-bound family against it. They build the gcd, lcm and divisibility Gram
-matrices once, at the largest order checked, and take each smaller order
-as its leading principal block (:meth:`SymMatrix.leading`): the matrix on
-{1..n} is the leading n x n block of the one on {1..n+1}, which is also
-what the interlacing check rests on. All the blocks are solved in one
-batch (:func:`smith_spectra.eig.jacobi_spectra`) before any check runs.
-Each check yields one result per (check, n), so a failure pinpoints the
-exact instance; violations are reported, never silently skipped.
+rational equalities. Spectral checks test the solver output and every bound
+family against it. They build the gcd, lcm and divisibility Gram matrices
+once, at the largest order, take each smaller order as its leading principal
+block (:meth:`SymMatrix.leading`) and solve every block in one batch
+(:func:`smith_spectra.eig.jacobi_spectra`). Each (n, family) then gets one
+read-only :class:`_Context`, and the table :data:`_CHECKS` runs one function
+per check over it, in output order. A check returns one :class:`CheckResult`,
+or None where it does not apply at that (n, family), so a failure pinpoints
+the exact instance and nothing is silently skipped.
 """
 
 from __future__ import annotations
@@ -21,15 +21,11 @@ from math import gcd, lcm
 import numpy as np
 
 from smith_spectra import arith
-from smith_spectra.bounds import (
-    closed_form_summary,
-    improved_bounds,
-    inner_radicand,
-    mh_interval,
-    ws_bounds,
-)
-from smith_spectra.eig import Spectrum, jacobi_spectra, spectral_summary
-from smith_spectra.matrices import IntegerSet, divisibility_gram, gcd_matrix, lcm_matrix
+from smith_spectra.bounds import (BoundsReport, closed_form_summary, improved_bounds,
+                                  inner_radicand, mh_interval, ws_bounds)
+from smith_spectra.eig import Spectrum, SpectralSummary, jacobi_spectra, spectral_summary
+from smith_spectra.matrices import (IntegerSet, SymMatrix, divisibility_gram, gcd_matrix,
+                                    lcm_matrix)
 
 INTERLACING_CAP = 60
 MH_CAP = 60
@@ -62,13 +58,8 @@ def run_checks(n_max: int, exact_only: bool = False) -> list[CheckResult]:
     return results
 
 
-# ---------------------------------------------------------------------------
-# exact identities
-
-
 def _exact_checks(n_max: int) -> list[CheckResult]:
     out: list[CheckResult] = []
-
     for name, table, oracle in (
         ("gcd_rowsum_oracle", arith.gcd_square_row_sum(n_max),
          lambda i: sum(gcd(i, j) ** 2 for j in range(1, i + 1))),
@@ -77,14 +68,10 @@ def _exact_checks(n_max: int) -> list[CheckResult]:
         ("coprime_square_sum_oracle", arith.coprime_square_sum_table(n_max),
          lambda t: sum(k * k for k in range(1, t + 1) if gcd(k, t) == 1)),
     ):
-        for i in range(1, n_max + 1):
-            closed, direct = table[i], oracle(i)
-            out.append(CheckResult(name, i, closed == direct,
-                                   "" if closed == direct else f"{closed} != {direct}"))
+        out += [_equality(name, i, table[i], oracle(i)) for i in range(1, n_max + 1)]
 
     # Moebius inversion round trip for phi and N^2
-    mu = arith.sieve_mobius(n_max)
-    zeta = arith.zeta_table(n_max)
+    mu, zeta = arith.sieve_mobius(n_max), arith.zeta_table(n_max)
     for table in (arith.sieve_totient(n_max), arith.power_table(n_max, 2)):
         back = arith.dirichlet_convolve(arith.dirichlet_convolve(table, mu), zeta)
         ok = back.to_list() == table.to_list()
@@ -102,29 +89,143 @@ def _exact_checks(n_max: int) -> list[CheckResult]:
         if n < 2:
             continue
         m = Fraction(n + 1, 2)
-        for name, closed, tr2 in (
-            ("s_squared_gcd_exact", arith.s_squared_gcd(n), tr2_gcd),
-            ("s_squared_lcm_exact", arith.s_squared_lcm(n), tr2_lcm),
-        ):
-            direct = Fraction(tr2, n) - m * m
-            out.append(CheckResult(
-                name, n, closed == direct,
-                "" if closed == direct else f"{closed} != {direct}"))
-            out.append(CheckResult(name.replace("_exact", "_positive"), n, closed > 0,
+        for name, closed, tr2 in (("s_squared_gcd", arith.s_squared_gcd(n), tr2_gcd),
+                                  ("s_squared_lcm", arith.s_squared_lcm(n), tr2_lcm)):
+            out.append(_equality(f"{name}_exact", n, closed, Fraction(tr2, n) - m * m))
+            out.append(CheckResult(f"{name}_positive", n, closed > 0,
                                    "" if closed > 0 else f"{closed} <= 0"))
     return out
 
 
-# ---------------------------------------------------------------------------
-# spectral checks
+def _equality(check: str, n: int, closed, direct) -> CheckResult:
+    ok = closed == direct
+    return CheckResult(check, n, ok, "" if ok else f"{closed} != {direct}")
+
+
+@dataclass(frozen=True)
+class _Context:
+    """What every spectral check reads at one (n, family). ``prev`` is the
+    order n - 1 spectrum, whose matrix is the leading block of this one;
+    ``base`` the cross-term base (gcd order 3, lcm order 4) once n exceeds
+    it; ``mh`` the Mattila-Haukkanen interval (gcd, n <= MH_CAP)."""
+
+    n: int
+    family: str
+    matrix: SymMatrix
+    spec: Spectrum
+    prev: Spectrum | None
+    base: Spectrum | None
+    closed: SpectralSummary
+    improved: BoundsReport | None
+    mh: tuple[float, float] | None
+    scale: float
+
+    @property
+    def slack(self) -> float:
+        return 1e-9 * self.scale
+
+
+def _definiteness(c: _Context) -> CheckResult:
+    lo, hi = c.spec.min, c.spec.max
+    if c.family == "gcd":
+        return CheckResult("gcd_positive_definite", c.n, lo > 0,
+                           "" if lo > 0 else f"min eigenvalue {lo:.3e}")
+    ok = lo < 0 < hi
+    return CheckResult("lcm_indefinite", c.n, ok, "" if ok else f"extremes {lo:.3e}, {hi:.3e}")
+
+def _trace_consistency(c: _Context) -> CheckResult:
+    n, scale, values, entries = c.n, c.scale, c.spec.eigenvalues, c.matrix.entries
+    trace_err = abs(sum(values) - np.trace(entries))
+    sq_err = abs(sum(v * v for v in values) - np.sum(entries**2))
+    ok = trace_err <= 1e-8 * n * scale and sq_err <= 1e-8 * n * scale * scale
+    return CheckResult(f"trace_consistency[{c.family}]", n, ok,
+                       "" if ok else f"trace err {trace_err:.3e}, square err {sq_err:.3e}")
+
+def _diagonal_bracketing(c: _Context) -> CheckResult:
+    diag = c.matrix.diagonal()
+    ok = c.spec.min <= diag.min() + c.slack and c.spec.max >= diag.max() - c.slack
+    return CheckResult(f"diagonal_bracketing[{c.family}]", c.n, ok)
+
+def _spread_bound(c: _Context) -> CheckResult:
+    off = c.matrix.entries - np.diag(c.matrix.diagonal())
+    ok = c.spec.max - c.spec.min >= 2 * np.max(np.abs(off)) - c.slack
+    return CheckResult(f"spread_bound[{c.family}]", c.n, ok)
+
+def _ws_consistency(c: _Context) -> CheckResult:
+    ok = ws_bounds(spectral_summary(c.matrix), c.family) == ws_bounds(c.closed, c.family)
+    return CheckResult(f"ws_consistency[{c.family}]", c.n, ok, "" if ok else "pipelines disagree")
+
+def _ws_equality_at_2(c: _Context) -> CheckResult | None:
+    if c.n != 2:
+        return None
+    ws = ws_bounds(spectral_summary(c.matrix), c.family)
+    ok = (abs(ws.lambda_min_lower - c.spec.min) <= c.slack
+          and abs(ws.lambda_max_upper - c.spec.max) <= c.slack)
+    return CheckResult(f"ws_equality_at_2[{c.family}]", c.n, ok)
+
+def _cauchy_interlacing(c: _Context) -> CheckResult | None:
+    if c.prev is None or c.n > INTERLACING_CAP:
+        return None
+    lam, mu = c.spec.eigenvalues, c.prev.eigenvalues
+    slack = 1e-9 * max(abs(v) for v in lam)
+    ok = all(lam[k] <= mu[k] + slack and mu[k] <= lam[k + 1] + slack for k in range(c.n - 1))
+    return CheckResult(f"cauchy_interlacing[{c.family}]", c.n, ok)
+
+def _smith_determinant_eigenproduct(c: _Context) -> CheckResult | None:
+    if c.family != "gcd" or c.n > DETERMINANT_CAP:
+        return None
+    det, expected = float(np.prod(c.spec.eigenvalues)), arith.smith_determinant(c.n)
+    ok = abs(det - expected) <= 1e-6 * abs(expected)
+    return CheckResult("smith_determinant_eigenproduct", c.n, ok,
+                       "" if ok else f"{det:.6e} vs {expected}")
+
+def _mh_contains_gcd_spectrum(c: _Context) -> CheckResult | None:
+    if c.mh is None:
+        return None
+    # closed: at n = 2 the gcd matrix IS the divisibility Gram matrix, so mh[1] is hit
+    ok = c.mh[0] - c.slack <= c.spec.min and c.spec.max <= c.mh[1] + c.slack
+    return CheckResult("mh_contains_gcd_spectrum", c.n, ok)
+
+def _mh_dominates_gcd_bracket(c: _Context) -> CheckResult | None:
+    if c.mh is None or c.improved is None:
+        return None
+    ok = c.mh[0] < c.improved.lambda_min_lower and c.improved.lambda_max_upper < c.mh[1]
+    return CheckResult("mh_dominates_gcd_bracket", c.n, ok)
+
+def _improved_bracket(c: _Context) -> CheckResult:
+    if c.improved is None:
+        return CheckResult(f"improved_{c.family}_bracket", c.n, True, "skipped: needs n >= 3")
+    rep = c.improved.with_actual(c.spec)
+    ok = rep.brackets_actual()
+    return CheckResult(f"improved_{c.family}_bracket", c.n, ok, "" if ok else (
+        f"extremes ({rep.actual_min:.6g}, {rep.actual_max:.6g}) vs brackets "
+        f"({rep.lambda_min_lower:.6g}, {rep.lambda_min_upper:.6g}) / "
+        f"({rep.lambda_max_lower:.6g}, {rep.lambda_max_upper:.6g})"))
+
+def _radicand_gain(c: _Context) -> CheckResult | None:
+    if c.improved is None:
+        return None
+    s2 = c.closed.s_squared
+    gain = inner_radicand(c.n, c.family, s2) - s2 / (c.n - 1)
+    ok = gain == (Fraction(2, c.n) if c.family == "gcd" else 32)
+    return CheckResult(f"{c.family}_radicand_gain", c.n, ok, "" if ok else f"gain {gain}")
+
+def _cross_term(c: _Context) -> CheckResult | None:
+    if c.family == "gcd" and c.n < 3:
+        return None
+    lam, base = c.spec.eigenvalues, c.base
+    ok = c.spec.max - c.spec.min > (c.n - 1 if c.family == "gcd" else 2 * c.n * (c.n - 1))
+    ok = ok and (base is None or lam[-2] - lam[0] > base.eigenvalues[-2] - base.eigenvalues[0])
+    return CheckResult(f"cross_term_{c.family}", c.n, ok)
+
+
+_CHECKS = (_definiteness, _trace_consistency, _diagonal_bracketing, _spread_bound,
+           _ws_consistency, _ws_equality_at_2, _cauchy_interlacing,
+           _smith_determinant_eigenproduct, _mh_contains_gcd_spectrum,
+           _mh_dominates_gcd_bracket, _improved_bracket, _radicand_gain, _cross_term)
 
 
 def _spectral_checks(n_max: int) -> list[CheckResult]:
-    out: list[CheckResult] = []
-
-    # small-order gaps feeding the cross-term inequalities
-    gap3 = gap4 = None
-
     largest = {family: build(IntegerSet.first_n(n_max))
                for family, build in (("gcd", gcd_matrix), ("lcm", lcm_matrix))}
     gram = divisibility_gram(min(n_max, MH_CAP))
@@ -135,116 +236,15 @@ def _spectral_checks(n_max: int) -> list[CheckResult]:
     mh_orders = range(2, min(n_max, MH_CAP) + 1)
     solved = jacobi_spectra([*blocks.values(), *(gram.leading(n) for n in mh_orders)])
     spectra = dict(zip(blocks, solved))
-    t_max = {n: spec.max for n, spec in zip(mh_orders, solved[len(blocks):])}
-    prev: dict[str, Spectrum] = {}
-    for n in range(2, n_max + 1):
-        for family in ("gcd", "lcm"):
-            matrix = blocks[n, family]
-            spec = spectra[n, family]
-            scale = float(np.max(np.abs(matrix.entries)))
-
-            if family == "gcd":
-                out.append(CheckResult(
-                    "gcd_positive_definite", n, spec.min > 0,
-                    "" if spec.min > 0 else f"min eigenvalue {spec.min:.3e}"))
-            else:
-                ok = spec.min < 0 < spec.max
-                out.append(CheckResult(
-                    "lcm_indefinite", n, ok,
-                    "" if ok else f"extremes {spec.min:.3e}, {spec.max:.3e}"))
-
-            trace_err = abs(sum(spec.eigenvalues) - np.trace(matrix.entries))
-            sq_err = abs(sum(v * v for v in spec.eigenvalues) - np.sum(matrix.entries**2))
-            ok = trace_err <= 1e-8 * n * scale and sq_err <= 1e-8 * n * scale * scale
-            out.append(CheckResult(
-                f"trace_consistency[{family}]", n, ok,
-                "" if ok else f"trace err {trace_err:.3e}, square err {sq_err:.3e}"))
-
-            diag = matrix.diagonal()
-            slack = 1e-9 * scale
-            ok = spec.min <= diag.min() + slack and spec.max >= diag.max() - slack
-            out.append(CheckResult(f"diagonal_bracketing[{family}]", n, ok))
-
-            off = matrix.entries - np.diag(diag)
-            ok = spec.max - spec.min >= 2 * np.max(np.abs(off)) - slack
-            out.append(CheckResult(f"spread_bound[{family}]", n, ok))
-
-            # closed forms and the improved bracket, once per (n, family)
-            closed = closed_form_summary(n, family)
-            improved = improved_bounds(n, family) if n >= 3 else None
-
-            ws_traces = ws_bounds(spectral_summary(matrix), family)
-            ws_closed = ws_bounds(closed, family)
-            out.append(CheckResult(
-                f"ws_consistency[{family}]", n, ws_traces == ws_closed,
-                "" if ws_traces == ws_closed else "pipelines disagree"))
-
-            if n == 2:
-                eq = (abs(ws_traces.lambda_min_lower - spec.min) <= 1e-9 * scale
-                      and abs(ws_traces.lambda_max_upper - spec.max) <= 1e-9 * scale)
-                out.append(CheckResult(f"ws_equality_at_2[{family}]", n, eq))
-
-            # interlacing against the previous order, whose matrix is the
-            # leading principal submatrix of this one
-            if n <= INTERLACING_CAP and family in prev:
-                lam, mu_ = spec.eigenvalues, prev[family].eigenvalues
-                slk = 1e-9 * max(abs(v) for v in lam)
-                ok = all(
-                    lam[k] <= mu_[k] + slk and mu_[k] <= lam[k + 1] + slk
-                    for k in range(n - 1)
-                )
-                out.append(CheckResult(f"cauchy_interlacing[{family}]", n, ok))
-            prev[family] = spec
-
-            if family == "gcd":
-                if n == 3:
-                    gap3 = spec.eigenvalues[1] - spec.eigenvalues[0]
-                if n <= DETERMINANT_CAP:
-                    det = float(np.prod(spec.eigenvalues))
-                    expected = arith.smith_determinant(n)
-                    ok = abs(det - expected) <= 1e-6 * abs(expected)
-                    out.append(CheckResult(
-                        "smith_determinant_eigenproduct", n, ok,
-                        "" if ok else f"{det:.6e} vs {expected}"))
-                if n <= MH_CAP:
-                    lo, hi = mh_interval(n, 1, 0, t_max[n])
-                    # closed interval; at n = 2 the gcd matrix IS the
-                    # divisibility Gram matrix, so the upper endpoint is hit
-                    ok = lo - slack <= spec.min and spec.max <= hi + slack
-                    out.append(CheckResult("mh_contains_gcd_spectrum", n, ok))
-                    if improved is not None:
-                        ok = lo < improved.lambda_min_lower and improved.lambda_max_upper < hi
-                        out.append(CheckResult("mh_dominates_gcd_bracket", n, ok))
-
-            if improved is None:
-                out.append(CheckResult(
-                    f"improved_{family}_bracket", n, True, "skipped: needs n >= 3"))
-            else:
-                rep = improved.with_actual(spec)
-                ok = rep.brackets_actual()
-                out.append(CheckResult(
-                    f"improved_{family}_bracket", n, ok,
-                    "" if ok else
-                    f"extremes ({rep.actual_min:.6g}, {rep.actual_max:.6g}) vs brackets "
-                    f"({rep.lambda_min_lower:.6g}, {rep.lambda_min_upper:.6g}) / "
-                    f"({rep.lambda_max_lower:.6g}, {rep.lambda_max_upper:.6g})"))
-
-                s2 = closed.s_squared
-                gain = inner_radicand(n, family, s2) - s2 / (n - 1)
-                ok = gain == (Fraction(2, n) if family == "gcd" else 32)
-                out.append(CheckResult(
-                    f"{family}_radicand_gain", n, ok, "" if ok else f"gain {gain}"))
-
-            if family == "gcd" and n >= 3:
-                ok = spec.max - spec.min > n - 1
-                if gap3 is not None and n > 3:
-                    ok = ok and spec.eigenvalues[-2] - spec.min > gap3
-                out.append(CheckResult("cross_term_gcd", n, ok))
-            if family == "lcm":
-                ok = spec.max - spec.min > 2 * n * (n - 1)
-                if n == 4:
-                    gap4 = spec.eigenvalues[2] - spec.eigenvalues[0]
-                if gap4 is not None and n > 4:
-                    ok = ok and spec.eigenvalues[-2] - spec.min > gap4
-                out.append(CheckResult("cross_term_lcm", n, ok))
+    t_max = dict(zip(mh_orders, (spec.max for spec in solved[len(blocks):])))
+    out: list[CheckResult] = []
+    for (n, family), matrix in blocks.items():
+        base_order = 3 if family == "gcd" else 4
+        c = _Context(
+            n, family, matrix, spectra[n, family], spectra.get((n - 1, family)),
+            spectra[base_order, family] if n > base_order else None, closed_form_summary(n, family),
+            improved_bounds(n, family) if n >= 3 else None,
+            mh_interval(n, 1, 0, t_max[n]) if family == "gcd" and n in t_max else None,
+            float(np.max(np.abs(matrix.entries))))
+        out += [r for r in (check(c) for check in _CHECKS) if r is not None]
     return out

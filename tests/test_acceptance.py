@@ -38,7 +38,7 @@ from smith_spectra.bounds import (
     ws_bounds,
 )
 from smith_spectra.cli import main
-from smith_spectra.eig import jacobi_eigenvalues
+from smith_spectra.eig import jacobi_eigenvalues, jacobi_spectra
 from smith_spectra.matrices import IntegerSet, gcd_matrix, lcm_matrix
 
 SWEEP_MAX = 200
@@ -59,12 +59,12 @@ def run_cli_json(*argv: str) -> dict:
 
 @lru_cache(maxsize=1)
 def sweep_spectra():
-    """Solver spectra of both families for 2 <= n <= 200, computed once."""
-    out = {}
-    for n in range(2, SWEEP_MAX + 1):
-        s = IntegerSet.first_n(n)
-        out[n] = (jacobi_eigenvalues(gcd_matrix(s)), jacobi_eigenvalues(lcm_matrix(s)))
-    return out
+    """Solver spectra of both families for 2 <= n <= 200, solved once in one
+    batch: the order n matrices are the leading blocks of the order 200 ones."""
+    largest = [build(IntegerSet.first_n(SWEEP_MAX)) for build in (gcd_matrix, lcm_matrix)]
+    orders = range(2, SWEEP_MAX + 1)
+    solved = iter(jacobi_spectra([m.leading(n) for n in orders for m in largest]))
+    return {n: (next(solved), next(solved)) for n in orders}
 
 
 def test_criterion_1_gcd_reference_bounds_n20():
