@@ -8,7 +8,7 @@ Core identities used by the trace statistics of the gcd and lcm matrices on
 {1..n}:
 
     sum_{j<=i} gcd(i,j)^2  =  (N^2 * phi)(i)                      (Cesaro)
-    sum_{k<=t, gcd(k,t)=1} k^2  =  (t/6) sum_{d|t} d mu(d) (t/d + 1)(2 t/d + 1)
+    sum_{k<=t, gcd(k,t)=1} k^2  =  ((N^2 mu) * S)(t),   S(q) = q(q+1)(2q+1)/6
     sum_{j<=i} lcm(i,j)^2  =  i^2 (g * zeta)(i),   g = the coprime square sum
 
 where ``*`` is Dirichlet convolution, N(k) = k, phi is Euler's totient and
@@ -193,21 +193,14 @@ def coprime_square_sum(t: int) -> int:
 def coprime_square_sum_table(n: int) -> ArithTable:
     """coprime_square_sum(t) for all t <= n in one O(n log n) pass.
 
-    Uses the Moebius closed form (t/6) sum_{d|t} d mu(d) (t/d + 1)(2 t/d + 1),
-    i.e. (t/6) ((N mu) * h)(t) with h(q) = (q + 1)(2q + 1). The pre-division
-    value is always divisible by 6; a failed division means the formula was
-    transcribed wrong, so it is asserted rather than rounded.
+    Moebius inversion over d = gcd(k, t) gives sum_{d|t} mu(d) d^2 S(t/d),
+    i.e. ((N^2 mu) * S)(t) with S(q) = q(q + 1)(2q + 1)/6 the sum of the
+    first q squares: one convolution of integer tables, no division after.
     """
     mu = sieve_mobius(n)
-    n_mu = _table(n, [d * m for d, m in enumerate(mu.values)], "N*mu")
-    h = _table(n, [0] + [(q + 1) * (2 * q + 1) for q in range(1, n + 1)], "(q+1)(2q+1)")
-    pre = dirichlet_convolve(n_mu, h).values
-    out = [0] * (n + 1)
-    for t in range(1, n + 1):
-        total = t * pre[t]
-        assert total % 6 == 0, f"coprime square sum of {t}: {total} not divisible by 6"
-        out[t] = total // 6
-    return _table(n, out, "coprime_sq")
+    n2_mu = _table(n, [d * d * m for d, m in enumerate(mu.values)], "N^2*mu")
+    squares = _table(n, list(accumulate(q * q for q in range(n + 1))), "S")
+    return dirichlet_convolve(n2_mu, squares, label="coprime_sq")
 
 
 def lcm_square_row_sum(n: int) -> ArithTable:

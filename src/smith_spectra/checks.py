@@ -1,10 +1,12 @@
 """Verification suites: every library invariant, swept over a range of n.
 
 Exact checks compare closed forms against brute-force oracles as integer or
-rational equalities. Spectral checks test the solver output and every bound
-family against it. They build the gcd, lcm and divisibility Gram matrices
-once, at the largest order, take each smaller order as its leading principal
-block (:meth:`SymMatrix.leading`) and solve every block in one batch
+rational equalities. One brute-force pass, one gcd per pair j <= i, feeds
+every exact oracle: the gcd, lcm and coprime square sums per row, and the
+tr(A^2) sums behind s^2. Spectral checks test the solver output and every
+bound family against it. They build the gcd, lcm and divisibility Gram
+matrices once, at the largest order, take each smaller order as its leading
+principal block (:meth:`SymMatrix.leading`) and solve every block in one batch
 (:func:`smith_spectra.eig.jacobi_spectra`). Each (n, family) then gets one
 read-only :class:`_Context`, and the table :data:`_CHECKS` runs one function
 per check over it, in output order. A check returns one :class:`CheckResult`,
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -59,16 +61,22 @@ def run_checks(n_max: int, exact_only: bool = False) -> list[CheckResult]:
 
 
 def _exact_checks(n_max: int) -> list[CheckResult]:
+    # the brute-force references, one gcd per pair j <= i: the row sums of
+    # gcd(i, j)^2 and lcm(i, j)^2, and the sum of j^2 over j coprime to i
+    gcd_rows, lcm_rows, coprime_rows = [0], [0], [0]
+    for i in range(1, n_max + 1):
+        row = [gcd(i, j) for j in range(1, i + 1)]
+        gcd_rows.append(sum(g * g for g in row))
+        lcm_rows.append(sum((i * j // g) ** 2 for j, g in enumerate(row, 1)))
+        coprime_rows.append(sum(j * j for j, g in enumerate(row, 1) if g == 1))
+
     out: list[CheckResult] = []
-    for name, table, oracle in (
-        ("gcd_rowsum_oracle", arith.gcd_square_row_sum(n_max),
-         lambda i: sum(gcd(i, j) ** 2 for j in range(1, i + 1))),
-        ("lcm_rowsum_oracle", arith.lcm_square_row_sum(n_max),
-         lambda i: sum(lcm(i, j) ** 2 for j in range(1, i + 1))),
-        ("coprime_square_sum_oracle", arith.coprime_square_sum_table(n_max),
-         lambda t: sum(k * k for k in range(1, t + 1) if gcd(k, t) == 1)),
+    for name, table, direct in (
+        ("gcd_rowsum_oracle", arith.gcd_square_row_sum(n_max), gcd_rows),
+        ("lcm_rowsum_oracle", arith.lcm_square_row_sum(n_max), lcm_rows),
+        ("coprime_square_sum_oracle", arith.coprime_square_sum_table(n_max), coprime_rows),
     ):
-        out += [_equality(name, i, table[i], oracle(i)) for i in range(1, n_max + 1)]
+        out += [_equality(name, i, table[i], direct[i]) for i in range(1, n_max + 1)]
 
     # Moebius inversion round trip for phi and N^2
     mu, zeta = arith.sieve_mobius(n_max), arith.zeta_table(n_max)
@@ -81,11 +89,11 @@ def _exact_checks(n_max: int) -> list[CheckResult]:
     ok = conv.to_list() == list(range(1, n_max + 1))
     out.append(CheckResult("totient_zeta_is_identity_map", n_max, ok))
 
-    # trace statistics vs the direct double sums, accumulated incrementally
+    # trace statistics vs tr(A^2) on {1..n} = sum_{i<=n} (2 r_i - i^2), r_i a row sum
     tr2_gcd = tr2_lcm = 0
     for n in range(1, n_max + 1):
-        tr2_gcd += 2 * sum(gcd(n, j) ** 2 for j in range(1, n)) + n * n
-        tr2_lcm += 2 * sum(lcm(n, j) ** 2 for j in range(1, n)) + n * n
+        tr2_gcd += 2 * gcd_rows[n] - n * n
+        tr2_lcm += 2 * lcm_rows[n] - n * n
         if n < 2:
             continue
         m = Fraction(n + 1, 2)

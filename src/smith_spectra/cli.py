@@ -31,7 +31,6 @@ from smith_spectra.bounds import gcd_bounds, improved_bounds, mh_interval, ws_bo
 from smith_spectra.checks import failures, run_checks
 from smith_spectra.eig import (
     JacobiConvergenceError,
-    Spectrum,
     default_backend,
     jacobi_eigenvalues,
     jacobi_spectra,
@@ -207,33 +206,30 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     # the improved methods apply to {1..n} only; explicit sets and the
     # real-exponent families get Wolkowicz-Styan from their traces
     improved = explicit is None and args.family in ("gcd", "lcm")
-    # every order's matrix is a leading block of the one at the top order
-    top = (None if improved and not args.with_actual
-           else build_matrix(args, explicit, n_values[-1] if n_values else None))
-
-    def one_row(n: int | None, actual: Spectrum | None) -> dict:
-        matrix = top if explicit is not None or top is None else top.leading(n)
+    targets = [None] if explicit is not None else n_values
+    blocks = [None] * len(targets)
+    if args.with_actual or not improved:
+        # every order's matrix is a leading block of the one at the top order
+        top = build_matrix(args, explicit, targets[-1])
+        blocks = [top if n is None else top.leading(n) for n in targets]
+    # the solves run first, in one batch; without --with-actual there are none
+    actuals = jacobi_spectra(blocks) if args.with_actual else [None] * len(targets)
+    rows = []
+    for n, matrix, actual in zip(targets, blocks, actuals):
         if improved:
             report = improved_bounds(n, args.family)
         else:
             report = ws_bounds(spectral_summary(matrix), args.family)
         if actual is not None:
             report = report.with_actual(actual)
-        return {
+        rows.append({
             "n": report.n, "family": report.family, "method": report.method,
             "m": report.m, "s": report.s,
             "min_lower": report.lambda_min_lower, "min_upper": report.lambda_min_upper,
             "max_lower": report.lambda_max_lower, "max_upper": report.lambda_max_upper,
             "actual_min": report.actual_min, "actual_max": report.actual_max,
             "flag": report.flag,
-        }
-
-    targets = [None] if explicit is not None else n_values
-    # the solves run first, in one batch; without --with-actual there are none
-    actuals = (jacobi_spectra([top if explicit is not None else top.leading(n)
-                               for n in targets])
-               if args.with_actual else [None] * len(targets))
-    rows = [one_row(n, actual) for n, actual in zip(targets, actuals)]
+        })
     meta = base_meta(args, family=args.family, with_actual=args.with_actual)
     emit(args, BOUNDS_COLUMNS, rows, meta)
     return 0

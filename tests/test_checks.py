@@ -4,6 +4,8 @@ Each spectral check passes on its true context and fails on a copy with one
 field corrupted just past the check's bound; eight one-line mutants of
 ``checks.py`` each accept such a copy, which the real check rejects; and
 each exact check fails exactly on the row whose closed form is off by one.
+The exact checks' brute-force references come from one pass that takes each
+gcd once, so one wrong gcd fails every row built on it and no other.
 The corrupted copies come from ``dataclasses.replace`` on the contexts that
 ``_spectral_checks`` really builds.
 """
@@ -322,3 +324,26 @@ def test_mobius_inversion_fails_on_a_broken_mobius_table(monkeypatch):
 def test_totient_zeta_fails_on_a_broken_totient_table(monkeypatch):
     corrupt_for_exact_checks(monkeypatch, "sieve_totient", lambda v: v + 1)
     assert failed_exact_rows() == [("totient_zeta_is_identity_map", EXACT_N)]
+
+
+def test_one_wrong_gcd_fails_every_row_the_shared_pass_builds_from_it(monkeypatch):
+    # the three oracles and both tr(A^2) sums read the one brute-force pass
+    real = checks.gcd
+    monkeypatch.setattr(checks, "gcd", lambda i, j: real(i, j) + ({i, j} == {EXACT_AT, 1}))
+    assert failed_exact_rows() == [
+        ("gcd_rowsum_oracle", EXACT_AT), ("lcm_rowsum_oracle", EXACT_AT),
+        ("coprime_square_sum_oracle", EXACT_AT),
+        *((f"s_squared_{family}_exact", n)
+          for n in range(EXACT_AT, EXACT_N + 1) for family in FAMILIES)]
+
+
+def test_the_brute_force_pass_takes_each_gcd_once(monkeypatch):
+    real, pairs = checks.gcd, []
+
+    def counted(i, j):
+        pairs.append((min(i, j), max(i, j)))
+        return real(i, j)
+
+    monkeypatch.setattr(checks, "gcd", counted)
+    checks._exact_checks(EXACT_N)
+    assert len(pairs) == len(set(pairs)) == EXACT_N * (EXACT_N + 1) // 2

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smith_spectra
 from smith_spectra.cli import FAMILIES, SUBCOMMANDS, main
 
 
@@ -347,6 +349,9 @@ PINNED_OUTPUTS = [
     # the benchmark's verify workload
     ("verify --n-max 80 --format json", 1,
      "b8c1ad3001ecd3ef1cbe3ab0b7ab7a603ed7c3839b8f80e1e3a50cfbbd0d03c1"),
+    # the solver-free run: every exact check up to the bounds cap
+    ("verify --exact-only --n-max 2000 --format json", 0,
+     "89b32e8283420fbe923a0b3d469bc37efd566e6b1839b4e0c48b39e771588057"),
 ]
 
 
@@ -470,9 +475,11 @@ def test_any_argv_exits_0_1_or_2(argv):
 
 
 def test_console_script_installed():
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(smith_spectra.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "smith_spectra.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert "smith-spectra" in proc.stdout
