@@ -80,19 +80,6 @@ class BoundsReport:
     def with_actual(self, spectrum: Spectrum) -> BoundsReport:
         return replace(self, actual_min=spectrum.min, actual_max=spectrum.max)
 
-    @property
-    def min_slack(self) -> float | None:
-        """Gap between the actual smallest eigenvalue and its upper bound."""
-        if self.actual_min is None:
-            return None
-        return self.lambda_min_upper - self.actual_min
-
-    @property
-    def max_slack(self) -> float | None:
-        if self.actual_max is None:
-            return None
-        return self.actual_max - self.lambda_max_lower
-
     def brackets_actual(self) -> bool:
         """True when both actual extremes lie strictly inside their brackets."""
         if self.actual_min is None or self.actual_max is None:

@@ -144,7 +144,7 @@ def emit(args: argparse.Namespace, columns: list[str], rows: list[dict], meta: d
 def render(fmt: str, columns: list[str], rows: list[dict], meta: dict) -> str:
     if fmt == "json":
         payload = {"meta": meta, "rows": rows}
-        return json.dumps(payload, indent=2, default=str) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         lines = [f"# {key}={value}" for key, value in meta.items()]
         lines.append(",".join(columns))

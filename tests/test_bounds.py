@@ -497,12 +497,6 @@ class TestBoundsReportContract:
                 lambda_max_lower=1.0, lambda_max_upper=2.0,
             )
 
-    def test_slacks(self):
-        rep = gcd_bounds(5).with_actual(solve(gcd_matrix(IntegerSet.first_n(5))))
-        assert rep.min_slack == pytest.approx(rep.lambda_min_upper - rep.actual_min)
-        assert rep.max_slack == pytest.approx(rep.actual_max - rep.lambda_max_lower)
-        assert rep.min_slack > 0 and rep.max_slack > 0
-
     def test_brackets_actual_requires_actuals(self):
         with pytest.raises(ValueError):
             gcd_bounds(5).brackets_actual()

@@ -303,6 +303,27 @@ class TestOutputContracts:
                          "--with-actual", "--format", "json")
         assert parse_json(out) == parse_json(json.dumps(parse_json(out)))
 
+    @pytest.mark.parametrize("argv, expected_code", [
+        ("bounds --family lcm --n 2..6 --with-actual", 0),
+        ("spectrum --family gcd --n 5", 0),
+        ("verify --n-max 5", 1),
+        ("inertia-sweep --n 2..8", 0),
+        ("compare --n 2..6", 0),
+        ("reproduce-paper", 0),
+    ])
+    def test_json_numbers_are_numbers(self, capsys, argv, expected_code):
+        # render has no fallback encoder: a value JSON cannot encode raises
+        # instead of being printed as a quoted string
+        code, out = run_cli(capsys, *argv.split(), "--format", "json")
+        assert code == expected_code
+        rows = parse_json(out)["rows"]
+        assert rows
+        text_columns = {"family", "method", "flag", "check", "observed"}
+        for row in rows:
+            for column, value in row.items():
+                if column not in text_columns:
+                    assert type(value) in (int, float, bool), (column, value)
+
     def test_csv_matches_json_to_printed_precision(self, capsys):
         _, as_csv = run_cli(capsys, "bounds", "--family", "gcd", "--n", "9",
                             "--format", "csv")

@@ -1,7 +1,8 @@
 """Packaging: pyproject.toml alone declares the package, its console
 script and the C sweep source it ships as package data; there is no
 setup.py and no build step, and a compiled sweep lives only in a
-``__pycache__`` directory."""
+``__pycache__`` directory. The package namespace holds only
+``__version__``, so importing one module loads only the layers below it."""
 
 import subprocess
 import sys
@@ -34,3 +35,18 @@ def test_egg_info_from_pyproject_alone(tmp_path):
     # the metadata went to tmp_path, nothing into the tree
     assert _entries() == before
     assert [p for p in ROOT.rglob("*.so") if p.parent.name != "__pycache__"] == []
+
+
+def _loaded(statement: str) -> set[str]:
+    """numpy and the package's modules, as loaded by ``statement`` in a fresh interpreter."""
+    code = f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n{statement}\nprint(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                          text=True, check=True)
+    return {m for m in proc.stdout.split() if m == "numpy" or m.startswith("smith_spectra")}
+
+
+def test_imports_follow_the_layers():
+    # arith is pure Python integers: no numpy, and no other module of the package
+    assert _loaded("import smith_spectra.arith") == {"smith_spectra", "smith_spectra.arith"}
+    assert "smith_spectra._jacobi_c" not in _loaded("import smith_spectra.matrices")
+    assert _loaded("from smith_spectra import __version__") == {"smith_spectra"}
