@@ -2,9 +2,9 @@
 :mod:`smith_spectra.eig`.
 
 ``_jacobi_c.c`` runs the rotations of one sweep, in the numpy sweep's
-order and with its formulas (``math.hypot`` included), so every result is
-bit-identical to :mod:`smith_spectra._jacobi_py`; the convergence loop
-is that module's, with this sweep passed in.
+order and with its formulas (the root sqrt(1 + tau^2) included), so every
+result is bit-identical to :mod:`smith_spectra._jacobi_py`; the
+convergence loop is that module's, with this sweep passed in.
 
 On import the C file is compiled with ``cc`` into the package's
 ``__pycache__``, under a name keyed by a checksum of the source and the
@@ -76,11 +76,9 @@ def load(source: Path = SOURCE, cache: Path = CACHE) -> ctypes.CDLL | None:
         _compile(source, target)
         lib = ctypes.CDLL(str(target))
         lib.jacobi_sweep.argtypes = (ctypes.c_void_p, ctypes.c_int)
-        lib.py_hypot.argtypes = (ctypes.c_double, ctypes.c_double)
     except (OSError, AttributeError):  # AttributeError: a symbol is missing
         return None
     lib.jacobi_sweep.restype = None
-    lib.py_hypot.restype = ctypes.c_double
     return lib
 
 

@@ -11,9 +11,11 @@ loop, so ``off_norm`` and ``sweeps`` are the same whichever sweep ran.
 from __future__ import annotations
 
 from collections.abc import Callable
-from math import hypot, sqrt
+from math import sqrt
 
 import numpy as np
+
+_ROOT_GUARD = 2.0 ** 500
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
@@ -52,10 +54,10 @@ def _sweep(a: np.ndarray) -> None:
             app = a[p, p]
             aqq = a[q, q]
             tau = (aqq - app) / (2.0 * apq)
-            if tau >= 0.0:
-                t = 1.0 / (tau + hypot(1.0, tau))
-            else:
-                t = 1.0 / (tau - hypot(1.0, tau))
+            # sqrt(1 + tau^2), guarded where tau^2 would overflow and the 1
+            # is lost anyway; the C sweep takes the same root
+            root = sqrt(1.0 + tau * tau) if abs(tau) < _ROOT_GUARD else abs(tau)
+            t = 1.0 / (tau + root if tau >= 0.0 else tau - root)
             c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
             row_p = a[p, :].copy()

@@ -363,7 +363,7 @@ class TestHongConstant:
 
     def test_c6_and_witness_pinned(self):
         const = hong_cn(6)
-        assert const.c_n == 0.014827585246472349
+        assert const.c_n == 0.014827585246472342
         assert const.witness == (
             (1, 0, 0, 0, 0, 0),
             (1, 1, 0, 0, 0, 0),

@@ -1,12 +1,9 @@
-"""The C sweep kernel: its hypot port against math.hypot, its results
-against the numpy kernel bit for bit, and the silent fallback to the
-numpy kernel wherever the C file cannot be built or loaded."""
+"""The C sweep kernel: its results against the numpy kernel bit for bit,
+the root's overflow guard included, and the silent fallback to the numpy
+kernel wherever the C file cannot be built or loaded."""
 
-import math
 import os
-import random
 import shutil
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -26,55 +23,8 @@ needs_c = pytest.mark.skipif(
     reason="the C sweep is not the active kernel: no cc on PATH, or its build or load failed")
 
 
-def _bits(x: float) -> bytes:
-    return struct.pack("<d", x)
-
-
 def _bits_equal(x: np.ndarray, y: np.ndarray) -> bool:
     return x.tobytes() == y.tobytes()
-
-
-@needs_c
-def test_hypot_port_is_math_hypot_bit_for_bit():
-    port = _jacobi_c.LIBRARY.py_hypot
-    rng = random.Random(20261018)
-    taus = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
-            -2.2250738585072014e-308, 1e308, -1e308, math.inf, -math.inf, 1.0, -1.0]
-    for i in range(100_000):
-        kind = i % 3
-        if kind == 0:  # every magnitude the kernel's tau takes
-            taus.append(rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-20, 20))
-        elif kind == 1:  # any double
-            taus.append(struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0])
-        else:
-            taus.append(rng.uniform(-1e3, 1e3))
-    mismatches = [t for t in taus if _bits(port(1.0, t)) != _bits(math.hypot(1.0, t))
-                  and not math.isnan(t)]
-    assert mismatches == []
-    assert math.isnan(port(1.0, math.nan))
-
-
-def _exponent_edges() -> list[float]:
-    """Doubles with the biased exponents 1, 2, 2044, 2045 and 2046, where
-    the port switches between reading the scale from the exponent bits and
-    frexp/ldexp, and with 0 (zero and subnormals); a few mantissas each,
-    both signs."""
-    values = []
-    for biased in (0, 1, 2, 2044, 2045, 2046):
-        for mantissa in (0, 1, 0x8000000000000, 0xFFFFFFFFFFFFF):
-            bits = (biased << 52) | mantissa
-            x = struct.unpack("<d", bits.to_bytes(8, "little"))[0]
-            values += [x, -x]
-    return values
-
-
-@needs_c
-def test_hypot_port_is_math_hypot_at_the_exponent_edges():
-    port = _jacobi_c.LIBRARY.py_hypot
-    edges = _exponent_edges()
-    pairs = [(x, y) for x in edges + [1.0, -1.0] for y in edges]
-    mismatches = [(x, y) for x, y in pairs if _bits(port(x, y)) != _bits(math.hypot(x, y))]
-    assert mismatches == []
 
 
 @st.composite
@@ -110,6 +60,32 @@ def test_c_and_numpy_kernels_are_bit_identical_on_the_families(build):
     # verify solves gcd and lcm up to n = 80
     for n in (*range(1, 61), 64, 80, 97):
         _assert_kernels_agree(np.array(build(n).entries, dtype=np.float64))
+
+
+# a_01 = 2^-502 against the diagonal gap 1: the first rotation's tau is
+# 2^501, past the 2^500 guard, where tau^2 would overflow
+TINY = 2.0 ** -502
+
+
+@pytest.mark.parametrize("sweep", [
+    _jacobi_py._sweep,
+    pytest.param(lambda a: _jacobi_c._sweep(a), marks=needs_c),
+], ids=["numpy", "c"])
+def test_guarded_root_rotates(sweep):
+    # tau = 2^501: the guard's root |tau| gives t = 2^-502 and a_00 =
+    # -t a_01 = -2^-1004; an overflowed root would give t = 0 and a_00 = 0
+    a = np.array([[0.0, TINY], [TINY, 1.0]])
+    sweep(a)
+    assert a.tolist() == [[-(2.0 ** -1004), 0.0], [0.0, 1.0]]
+
+
+@needs_c
+def test_c_and_numpy_kernels_are_bit_identical_past_the_root_guard():
+    # the large a_12 keeps the off-diagonal norm far above the threshold,
+    # so the guarded rotation (0, 1) runs inside full sweeps; (0, 2) then
+    # meets a tiny a_02 against a gap of 3, past the guard with tau < 0
+    a = np.array([[0.0, TINY, 0.0], [TINY, 1.0, 1.0], [0.0, 1.0, 3.0]])
+    _assert_kernels_agree(a)
 
 
 # -- the loader -------------------------------------------------------------
