@@ -21,7 +21,19 @@
    entries it then overwrites (with app - t apq and 0, as numpy does).
    Row p itself is always current, and the matrix is exactly symmetric
    before and after every rotation in numpy, so copying row p into column
-   p at the end gives numpy's column p. */
+   p at the end gives numpy's column p.
+
+   The copies into columns p and q also skip the finished rows k < p.
+   Nothing reads such a row again in the sweep, since a rotation (p', q')
+   with p' >= p reads only rows p' and q'.  What the skip drops are the
+   writes to a[k][j] with k < p <= j, all above the diagonal; every entry
+   on and below it still gets every write it got before, and every entry
+   of a row >= p does too.  Rows are rotated in full, so they are always
+   current, and the lower triangle is never stale.  Each rotation thus
+   reads the same operands as without the skip, and at the end of the
+   sweep the lower triangle is that of numpy's matrix, which is symmetric,
+   so one loop mirroring it into the upper triangle gives numpy's matrix.
+   The matrix is symmetric after every sweep, not after every rotation. */
 
 #include <math.h>
 #include <stddef.h>
@@ -57,14 +69,17 @@ void jacobi_sweep(double *a, int n)
             c = 1.0 / sqrt(1.0 + t * t);
             s = t * c;
             rotate(row_p, row_q, n, c, s);
-            for (int k = 0; k < n; k++)
+            for (int k = p; k < n; k++)
                 a[(size_t)k * n + q] = row_q[k];
             /* the four crossing entries, as numpy's sweep sets them */
             row_p[p] = app - t * apq;
             row_q[q] = aqq + t * apq;
             row_p[q] = row_q[p] = 0.0;
         }
-        for (int k = 0; k < n; k++)
+        for (int k = p; k < n; k++)
             a[(size_t)k * n + p] = row_p[k];
     }
+    for (int i = 1; i < n; i++)
+        for (int j = 0; j < i; j++)
+            a[(size_t)j * n + i] = a[(size_t)i * n + j];
 }
