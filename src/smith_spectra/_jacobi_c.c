@@ -38,8 +38,23 @@
 #include <math.h>
 #include <stddef.h>
 
+/* On x86-64 with glibc, whose ifunc resolver picks a clone when the
+   library loads, rotate is built twice: for AVX2 and for the baseline
+   CPU.  Each clone does the same IEEE operations per entry, 2 or 4 to a
+   register, so both give the same bits.  Any other compiler, libc or CPU
+   builds the one plain rotate. */
+#ifndef __has_attribute
+#define __has_attribute(x) 0
+#endif
+#if defined(__x86_64__) && defined(__GLIBC__) && __has_attribute(target_clones)
+#define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define VECTOR_CLONES
+#endif
+
 /* x, y <- c x - s y, s x + c y, entry by entry */
-static inline void rotate(double *restrict x, double *restrict y, int n, double c, double s)
+VECTOR_CLONES
+static void rotate(double *restrict x, double *restrict y, int n, double c, double s)
 {
     for (int k = 0; k < n; k++) {
         double xk = x[k], yk = y[k];
