@@ -174,8 +174,8 @@ def lcm_bounds(n: int) -> BoundsReport:
     return improved_bounds(n, "lcm")
 
 
-def mh_interval(n: int, alpha: float, beta: float,
-                t_n: float | None = None) -> tuple[float, float]:
+def mh_interval(n: int, alpha: float, beta: float, t_n: float | None = None,
+                max_j: int | None = None) -> tuple[float, float]:
     """Mattila-Haukkanen interval containing every eigenvalue of the
     mixed-power matrix (gcd^alpha * lcm^beta) on {1..n}:
 
@@ -184,7 +184,8 @@ def mh_interval(n: int, alpha: float, beta: float,
 
     with T_n the largest eigenvalue of the divisibility Gram matrix E E^T of
     order n: ``t_n`` when the caller has solved that matrix, else solved here.
-    alpha - beta must be a positive integer so the Jordan totient is exact.
+    Likewise ``max_j``, the max of |J_{a-b}| on 1..n. alpha - beta must be a
+    positive integer so the Jordan totient is exact.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -195,8 +196,8 @@ def mh_interval(n: int, alpha: float, beta: float,
             f"alpha - beta must be a positive integer for the Jordan totient form, "
             f"got {diff}"
         )
-    jt = arith.jordan_totient(n, k)
-    max_j = max(abs(v) for v in jt.values[1:])
+    if max_j is None:
+        max_j = max(abs(v) for v in arith.jordan_totient(n, k).values[1:])
     if t_n is None:
         t_n = jacobi_eigenvalues(divisibility_gram(n)).max
     hi = t_n * max(1.0, float(n) ** (2 * beta)) * max_j

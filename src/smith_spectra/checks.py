@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import numpy as np
@@ -245,6 +246,8 @@ def _spectral_checks(n_max: int) -> list[CheckResult]:
     solved = jacobi_spectra([*blocks.values(), *(gram.leading(n) for n in mh_orders)])
     spectra = dict(zip(blocks, solved))
     t_max = dict(zip(mh_orders, (spec.max for spec in solved[len(blocks):])))
+    # max |J_1(i)| over i <= n, from one table at the top order
+    j_max = dict(enumerate(accumulate(arith.jordan_totient(gram.order, 1).values[1:], max), 1))
     out: list[CheckResult] = []
     for (n, family), matrix in blocks.items():
         base_order = 3 if family == "gcd" else 4
@@ -252,7 +255,7 @@ def _spectral_checks(n_max: int) -> list[CheckResult]:
             n, family, matrix, spectra[n, family], spectra.get((n - 1, family)),
             spectra[base_order, family] if n > base_order else None, closed_form_summary(n, family),
             improved_bounds(n, family) if n >= 3 else None,
-            mh_interval(n, 1, 0, t_max[n]) if family == "gcd" and n in t_max else None,
+            mh_interval(n, 1, 0, t_max[n], j_max[n]) if family == "gcd" and n in t_max else None,
             float(np.max(np.abs(matrix.entries))))
         out += [r for r in (check(c) for check in _CHECKS) if r is not None]
     return out

@@ -276,6 +276,30 @@ class TestMattilaHaukkanen:
             t_n = jacobi_eigenvalues(gram.leading(n)).max
             assert repr(mh_interval(n, 1, 0, t_n)) == repr(mh_interval(n, 1, 0))
 
+    def test_checks_share_one_jordan_table(self, monkeypatch):
+        # verify passes every order its T_n and its max |J_1| from one table
+        # at the top order, and gets the intervals of fresh calls
+        tables, calls = [], []
+        real_jordan, real_mh = arith.jordan_totient, checks.mh_interval
+
+        def counting_jordan(*args):
+            tables.append(args)
+            return real_jordan(*args)
+
+        def recording_mh(*args):
+            calls.append((args, real_mh(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(arith, "jordan_totient", counting_jordan)
+        monkeypatch.setattr(checks, "mh_interval", recording_mh)
+        checks.run_checks(checks.MH_CAP)
+        assert tables == [(checks.MH_CAP, 1)]
+        assert [args[0] for args, _ in calls] == list(range(2, checks.MH_CAP + 1))
+        monkeypatch.undo()
+        for args, interval in calls:
+            assert len(args) == 5
+            assert repr(interval) == repr(mh_interval(args[0], 1, 0))
+
     def test_run_checks_builds_each_matrix_once(self, monkeypatch):
         builds = []
         for name in ("gcd_matrix", "lcm_matrix", "divisibility_gram"):
