@@ -174,8 +174,24 @@ def base_meta(args: argparse.Namespace, **extra) -> dict:
 # matrix construction shared by spectrum/bounds/export
 
 
+def family_exponent(args: argparse.Namespace) -> float:
+    """The epsilon of the power-gcd matrix the family is congruent to
+    (:func:`exact_inertia`); every --family command refuses one not finite."""
+    if args.family == "recip-lcm" and args.r <= 0:
+        raise UsageError(f"exponent r must be > 0, got {args.r}")
+    epsilon, option = {
+        "gcd": (1.0, "--family"), "lcm": (-1.0, "--family"),
+        "power-gcd": (args.epsilon, "--epsilon"), "recip-lcm": (args.r, "--r"),
+        "mixed": (args.alpha - args.beta, "--alpha minus --beta"),
+    }[args.family]
+    if not isfinite(epsilon):
+        raise UsageError(f"{option} must be finite, got {epsilon}")
+    return epsilon
+
+
 def build_matrix(args: argparse.Namespace, explicit: IntegerSet | None,
                  n: int | None) -> SymMatrix:
+    family_exponent(args)
     s = explicit or IntegerSet.first_n(n)
     if args.family == "gcd":
         return gcd_matrix(s)
@@ -289,16 +305,7 @@ def cmd_inertia_sweep(args: argparse.Namespace) -> int:
     # exact counts, no matrix: each family is congruent to a power-gcd one (arith.exact_inertia)
     n_values = parse_n_range(args.n)
     enforce_cap(max(n_values), False, args.allow_large)
-    if args.family == "recip-lcm" and args.r <= 0:
-        raise UsageError(f"exponent r must be > 0, got {args.r}")
-    epsilon, option = {
-        "gcd": (1.0, "--family"), "lcm": (-1.0, "--family"),
-        "power-gcd": (args.epsilon, "--epsilon"), "recip-lcm": (args.r, "--r"),
-        "mixed": (args.alpha - args.beta, "--alpha minus --beta"),
-    }[args.family]
-    if not isfinite(epsilon):
-        raise UsageError(f"{option} must be finite, got {epsilon}")
-    counts = exact_inertia(n_values[-1], epsilon)
+    counts = exact_inertia(n_values[-1], family_exponent(args))
     rows = [{"n": n, "family": args.family, "positive": pos, "negative": neg,
              "zero": zero, "pos_minus_neg": pos - neg}
             for n, (pos, neg, zero) in zip(n_values, counts[n_values[0] - 1:])]

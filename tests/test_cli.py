@@ -237,6 +237,19 @@ class TestInertiaSweep:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["spectrum", "bounds", "export-matrix", "inertia-sweep"])
+@pytest.mark.parametrize("argv, message", [
+    ("--family recip-lcm --r inf", "--r must be finite, got inf"),
+    ("--family power-gcd --epsilon=-inf", "--epsilon must be finite, got -inf"),
+], ids=["r-inf", "epsilon-minus-inf"])
+def test_every_matrix_command_refuses_a_non_finite_exponent(capsys, command, argv, message):
+    # one rule for all: the matrix commands used to build e1 e1^T or a 0/1
+    # matrix from these and exit 0, while inertia-sweep refused them
+    code = main([command, *argv.split(), "--n", "5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 class TestCompareCommand:
     def test_reference_endpoints(self, capsys):
         code, out = run_cli(capsys, "compare", "--n", "20", "--format", "json")
