@@ -2,58 +2,46 @@
 
    Same order and same formulas as the numpy sweep in
    smith_spectra/_jacobi_py.py, so every rotated matrix is bit-identical
-   to it.  Build with -ffp-contract=off and never -ffast-math: a fused
-   multiply-add or a reordered sum rounds differently.  Every operation of
-   a rotation, the root included, is one correctly rounded IEEE 754 +, -,
-   *, / or sqrt, in C as in Python, so no libm function enters the bits.
-   The convergence test stays in Python, with numpy's norms.
+   to it.  Each operation of a rotation, the root included, is one
+   correctly rounded IEEE 754 +, -, *, / or sqrt, in C as in Python.  So
+   build with -ffp-contract=off and never -ffast-math: a fused
+   multiply-add or a reordered sum rounds differently.  The convergence
+   test stays in Python, with numpy's norms.
 
    Where the numpy sweep writes rows p and q and then columns p and q,
    this one rotates the two rows in a loop of their own over restrict
    pointers, which the compiler vectorizes, and then copies them into the
-   columns.  Every stored value is still the same expression of the same
-   operands, so the order of the stores is all that differs.  Column q is
-   copied after every rotation; column p only once, when the rotations
-   (p, q) for every q > p are done.  That defers nothing anyone reads:
-   while p is fixed, each rotation (p, q) reads rows p and q in full, and
-   the only entry of column p among them that the deferral leaves stale is
-   a[q][p], which the rotation rotates into a[p][p] and a[q][p], the two
-   entries it then overwrites (with app - t apq and 0, as numpy does).
-   Row p itself is always current, and the matrix is exactly symmetric
-   before and after every rotation in numpy, so copying row p into column
-   p at the end gives numpy's column p.
+   columns; only the order of the stores differs.  Column q is copied
+   after every rotation; column p once, when the rotations (p, q) for
+   every q > p are done.  That defers nothing anyone reads: while p is
+   fixed, each rotation (p, q) reads rows p and q in full, and the only
+   entry of column p among them that the deferral leaves stale is a[q][p],
+   which the rotation rotates into a[p][p] and a[q][p], the two entries it
+   then overwrites (with app - t apq and 0, as numpy does).  Row p itself
+   is always current, and numpy's matrix is symmetric after every
+   rotation, so copying row p into column p at the end gives numpy's.
 
-   The copies into columns p and q also skip the finished rows k < p.
-   Nothing reads such a row again in the sweep, since a rotation (p', q')
-   with p' >= p reads only rows p' and q'.  What the skip drops are the
-   writes to a[k][j] with k < p <= j, all above the diagonal; every entry
-   on and below it still gets every write it got before, and every entry
-   of a row >= p does too.  Rows are rotated in full, so they are always
-   current, and the lower triangle is never stale.  Each rotation thus
-   reads the same operands as without the skip, and at the end of the
-   sweep the lower triangle is that of numpy's matrix, which is symmetric,
-   so one loop mirroring it into the upper triangle gives numpy's matrix.
-   The matrix is symmetric after every sweep, not after every rotation. */
+   Both copies also skip the finished rows k < p: a rotation (p', q') with
+   p' >= p reads only rows p' and q'.  The writes skipped are those to
+   a[k][j] with k < p <= j, all above the diagonal.  Every entry on or
+   below it, and every entry of a row >= p, gets every write it got
+   before; rows are rotated in full, so the lower triangle is never stale.
+   Each rotation thus reads numpy's operands, and at the end of the sweep
+   the lower triangle is that of numpy's matrix, which is symmetric, so
+   one loop mirrors it into the upper triangle. */
 
 #include <math.h>
 #include <stddef.h>
 
-/* On x86-64 with glibc, whose ifunc resolver picks a clone when the
-   library loads, rotate is built twice: for AVX2 and for the baseline
-   CPU.  Each clone does the same IEEE operations per entry, 2 or 4 to a
-   register, so both give the same bits.  Any other compiler, libc or CPU
-   builds the one plain rotate. */
+/* x, y <- c x - s y, s x + c y, entry by entry.  With glibc on x86-64 a
+   clone for AVX2 and one for the baseline CPU, with the same operations
+   per entry, are built, and glibc picks one when the library loads. */
 #ifndef __has_attribute
 #define __has_attribute(x) 0
 #endif
 #if defined(__x86_64__) && defined(__GLIBC__) && __has_attribute(target_clones)
-#define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define VECTOR_CLONES
+__attribute__((target_clones("avx2", "default")))
 #endif
-
-/* x, y <- c x - s y, s x + c y, entry by entry */
-VECTOR_CLONES
 static void rotate(double *restrict x, double *restrict y, int n, double c, double s)
 {
     for (int k = 0; k < n; k++) {
@@ -76,9 +64,8 @@ void jacobi_sweep(double *a, int n)
             if (apq == 0.0)
                 continue;
             tau = (aqq - app) / (2.0 * apq);
-            /* sqrt(1 + tau^2), which is all a rotation needs (Rutishauser
-               1966; Golub & Van Loan 8.5): tau^2 overflows past about
-               2^511.9, and past 2^500 the 1 lies below tau^2's last bit */
+            /* all a rotation needs (Rutishauser 1966; Golub & Van Loan 8.5);
+               past 2^500 the 1 is below tau^2's last bit, near 2^512 tau^2 overflows */
             root = fabs(tau) < 0x1p500 ? sqrt(1.0 + tau * tau) : fabs(tau);
             t = 1.0 / (tau >= 0.0 ? tau + root : tau - root);
             c = 1.0 / sqrt(1.0 + t * t);

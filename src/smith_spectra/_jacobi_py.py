@@ -15,8 +15,6 @@ from math import sqrt
 
 import numpy as np
 
-_ROOT_GUARD = 2.0 ** 500
-
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
     # summed entry by entry (not as ||A||_F^2 - ||diag||^2, which cancels
@@ -54,9 +52,8 @@ def _sweep(a: np.ndarray) -> None:
             app = a[p, p]
             aqq = a[q, q]
             tau = (aqq - app) / (2.0 * apq)
-            # sqrt(1 + tau^2), guarded where tau^2 would overflow and the 1
-            # is lost anyway; the C sweep takes the same root
-            root = sqrt(1.0 + tau * tau) if abs(tau) < _ROOT_GUARD else abs(tau)
+            # the C sweep's root, guarded where tau^2 would overflow
+            root = sqrt(1.0 + tau * tau) if abs(tau) < 2.0 ** 500 else abs(tau)
             t = 1.0 / (tau + root if tau >= 0.0 else tau - root)
             c = 1.0 / sqrt(1.0 + t * t)
             s = t * c
