@@ -62,9 +62,9 @@ def test_c_and_numpy_kernels_are_bit_identical_on_the_families(build):
         _assert_kernels_agree(np.array(build(n).entries, dtype=np.float64))
 
 
-# a_01 = 2^-502 against the diagonal gap 1: the first rotation's tau is
-# 2^501, past the 2^500 guard, where tau^2 would overflow
-TINY = 2.0 ** -502
+# a_01 = 2^-520 against the diagonal gap 1: the first rotation's tau is
+# 2^519, past the 2^500 guard and past 2^512, where tau^2 overflows
+TINY = 2.0 ** -520
 
 
 @pytest.mark.parametrize("sweep", [
@@ -72,11 +72,12 @@ TINY = 2.0 ** -502
     pytest.param(lambda a: _jacobi_c._sweep(a), marks=needs_c),
 ], ids=["numpy", "c"])
 def test_guarded_root_rotates(sweep):
-    # tau = 2^501: the guard's root |tau| gives t = 2^-502 and a_00 =
-    # -t a_01 = -2^-1004; an overflowed root would give t = 0 and a_00 = 0
+    # tau = 2^519: the guard's root |tau| gives t = 2^-520 and a_00 =
+    # -t a_01 = -2^-1040 (subnormal, exact); the unguarded root would be
+    # inf, giving t = 0 and a_00 = 0
     a = np.array([[0.0, TINY], [TINY, 1.0]])
     sweep(a)
-    assert a.tolist() == [[-(2.0 ** -1004), 0.0], [0.0, 1.0]]
+    assert a.tolist() == [[-(2.0 ** -1040), 0.0], [0.0, 1.0]]
 
 
 @needs_c
