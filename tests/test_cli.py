@@ -243,8 +243,8 @@ class TestInertiaSweep:
     ("--family power-gcd --epsilon=-inf", "--epsilon must be finite, got -inf"),
 ], ids=["r-inf", "epsilon-minus-inf"])
 def test_every_matrix_command_refuses_a_non_finite_exponent(capsys, command, argv, message):
-    # one rule for all: the matrix commands used to build e1 e1^T or a 0/1
-    # matrix from these and exit 0, while inertia-sweep refused them
+    # one rule for every command that takes --family: a finite matrix could
+    # be built from these (e1 e1^T, a 0/1 matrix), but it is not the family's
     code = main([command, *argv.split(), "--n", "5"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
