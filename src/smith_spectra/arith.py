@@ -214,11 +214,6 @@ def lcm_square_row_sum(n: int) -> ArithTable:
     return _table(n, [i * i * v for i, v in enumerate(gz)], "lcm_sq_rowsum")
 
 
-def _centering_constant(n: int) -> Fraction:
-    # (1/n) sum i^2 + ((n+1)/2)^2 collapses to (7n^2 + 12n + 5)/12
-    return Fraction(7 * n * n + 12 * n + 5, 12)
-
-
 # family -> prefix sums P[k] = sum_{i<=k} (row sum i), for k = 0..limit; one
 # table per family, regrown to the next power of two >= n when n outgrows it
 _row_sum_prefix: dict[str, list[int]] = {}
@@ -227,7 +222,9 @@ _row_sum_prefix: dict[str, list[int]] = {}
 def s_squared(n: int, family: str) -> Fraction:
     """Spectral variance s^2 = tr(A^2)/n - (tr A / n)^2 of the gcd or lcm
     matrix on {1..n}, exact: (2/n) P(n) - (7n^2 + 12n + 5)/12, with P(n) the
-    sum of the first n row sums, read from the family's prefix table."""
+    sum of the first n row sums, read from the family's prefix table. The
+    centering term (1/n) sum i^2 + ((n+1)/2)^2 is (7n^2 + 12n + 5)/12, so
+    s^2 is the one fraction (24 P(n) - n(7n^2 + 12n + 5)) / (12n)."""
     if family not in ("gcd", "lcm"):
         raise ValueError(f"no closed form for family {family!r}")
     if n < 2:
@@ -237,7 +234,7 @@ def s_squared(n: int, family: str) -> Fraction:
         row_sums = gcd_square_row_sum if family == "gcd" else lcm_square_row_sum
         prefix = list(accumulate(row_sums(1 << (n - 1).bit_length()).values))
         _row_sum_prefix[family] = prefix
-    return Fraction(2 * prefix[n], n) - _centering_constant(n)
+    return Fraction(24 * prefix[n] - n * (7 * n * n + 12 * n + 5), 12 * n)
 
 
 def s_squared_gcd(n: int) -> Fraction:

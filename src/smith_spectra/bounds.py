@@ -11,7 +11,9 @@ Families:
 * Improved gcd/lcm brackets (:func:`improved_bounds`): the inner
   Wolkowicz-Styan bound sharpened by a cross-term lower bound; the radicand
   (:func:`inner_radicand`) grows by exactly 2/n (gcd) and 32 (lcm) over
-  s^2/(n-1). :func:`_bracket` builds every report, improved or not.
+  s^2/(n-1). Each float is one correctly rounded int / int division (under
+  a root for s and the inner radius). ``_bracket(n, family, method, m, s,
+  trace, inner)`` builds every report, improved or not, from floats.
 * Mattila-Haukkanen interval for mixed-power matrices, from the largest
   eigenvalue of the divisibility Gram matrix and Jordan totient maxima.
 * Hong-Lee upper bounds for reciprocal lcm matrices.
@@ -104,14 +106,13 @@ def closed_form_summary(n: int, family: str) -> SpectralSummary:
     return SpectralSummary(n, Fraction(n + 1, 2), arith.s_squared(n, family), exact=True)
 
 
-def _bracket(summary: SpectralSummary, family: str, method: str, inner: float) -> BoundsReport:
-    """The bracket m -+ s*sqrt(n-1) (outer bounds) and m -+ inner (inner bounds)."""
-    n = summary.n
-    m = float(summary.m)
-    s = summary.s
+def _bracket(n: int, family: str, method: str, m: float, s: float, trace: float,
+             inner: float) -> BoundsReport:
+    """The report of the floats m, s and trace: the bracket m -+ s*sqrt(n-1)
+    (outer bounds) and m -+ inner (inner bounds)."""
     outer = s * sqrt(n - 1)
     return BoundsReport(
-        n=n, family=family, method=method, m=m, s=s, trace=float(summary.m * n),
+        n=n, family=family, method=method, m=m, s=s, trace=trace,
         lambda_min_lower=m - outer, lambda_min_upper=m - inner,
         lambda_max_lower=m + inner, lambda_max_upper=m + outer,
     )
@@ -126,20 +127,23 @@ def ws_bounds(summary: SpectralSummary, family: str = "custom") -> BoundsReport:
     n = summary.n
     if n < 2:
         raise ValueError(f"Wolkowicz-Styan bounds need n >= 2, got {n}")
-    return _bracket(summary, family, METHOD_WS, summary.s / sqrt(n - 1))
+    return _bracket(n, family, METHOD_WS, float(summary.m), summary.s,
+                    float(summary.m * n), summary.s / sqrt(n - 1))
 
 
 def inner_radicand(n: int, family: str, s_squared: Fraction) -> Fraction:
     """The radicand r of the improved inner bounds m -+ sqrt(r) of the gcd
-    or lcm matrix on {1..n}, n >= 3, whose spectral variance is s_squared:
+    or lcm matrix on {1..n}, n >= 3, whose spectral variance is s_squared = a/b,
+    built as one fraction:
 
-    gcd: (n*s^2 + 2(n-1)) / (n^2 - n), i.e. s^2/(n-1) + 2/n
-    lcm: (s^2 + 32(n-1)) / (n-1),      i.e. s^2/(n-1) + 32
+    gcd: (n*a + 2(n-1)*b) / (b*n(n-1)), i.e. s^2/(n-1) + 2/n
+    lcm: (a + 32(n-1)*b) / (b(n-1)),    i.e. s^2/(n-1) + 32
     """
+    a, b = s_squared.numerator, s_squared.denominator
     if family == "gcd":
-        return (n * s_squared + 2 * (n - 1)) / Fraction(n * n - n)
+        return Fraction(n * a + 2 * (n - 1) * b, b * n * (n - 1))
     if family == "lcm":
-        return (s_squared + 32 * (n - 1)) / Fraction(n - 1)
+        return Fraction(a + 32 * (n - 1) * b, b * (n - 1))
     raise ValueError(f"no improved radicand for family {family!r}")
 
 
@@ -147,15 +151,17 @@ def improved_bounds(n: int, family: str) -> BoundsReport:
     """Improved brackets for the extreme eigenvalues of the gcd or lcm
     matrix on {1..n}: the inner bounds are m -+ sqrt(inner_radicand), the
     outer bounds stay Wolkowicz-Styan. Needs n >= 3 (n = 2 falls back,
-    flagged).
+    flagged). Each float is that of an exact rational: one int / int division.
     """
     if n < 2:
         raise ValueError(f"{family} bounds need n >= 2, got {n}")
-    summary = closed_form_summary(n, family)
+    s_squared = arith.s_squared(n, family)
+    m, s, trace = (n + 1) / 2, sqrt(float(s_squared)), float(n * (n + 1) // 2)
     if n == 2:
-        return replace(ws_bounds(summary, family), flag=WS_FALLBACK_FLAG)
-    radicand = inner_radicand(n, family, summary.s_squared)
-    return _bracket(summary, family, f"improved_{family}", sqrt(float(radicand)))
+        # Wolkowicz-Styan, whose inner radius s/sqrt(n - 1) is s itself
+        return replace(_bracket(n, family, METHOD_WS, m, s, trace, s), flag=WS_FALLBACK_FLAG)
+    radicand = inner_radicand(n, family, s_squared)
+    return _bracket(n, family, f"improved_{family}", m, s, trace, sqrt(float(radicand)))
 
 
 def gcd_bounds(n: int) -> BoundsReport:

@@ -23,10 +23,10 @@ import argparse
 import json
 import os
 import sys
+from itertools import accumulate
 from math import isfinite, sqrt
 
-from smith_spectra import __version__
-from smith_spectra.arith import exact_inertia
+from smith_spectra import __version__, arith
 from smith_spectra.bounds import gcd_bounds, improved_bounds, mh_interval, ws_bounds
 from smith_spectra.checks import failures, run_checks
 from smith_spectra.eig import (
@@ -123,12 +123,12 @@ def read_target(args: argparse.Namespace, needs_solve: bool) -> tuple[list[int],
 
 
 def format_value(value) -> str:
+    if isinstance(value, float):  # most cells: tested first
+        return f"{value:.10g}"
     if value is None:
         return ""
     if isinstance(value, bool):
         return "pass" if value else "FAIL"
-    if isinstance(value, float):
-        return f"{value:.10g}"
     return str(value)
 
 
@@ -149,7 +149,7 @@ def render(fmt: str, columns: list[str], rows: list[dict], meta: dict) -> str:
         lines = [f"# {key}={value}" for key, value in meta.items()]
         lines.append(",".join(columns))
         for row in rows:
-            lines.append(",".join(format_value(row.get(col)) for col in columns))
+            lines.append(",".join([format_value(row.get(col)) for col in columns]))
         return "\n".join(lines) + "\n"
     # table
     cells = [[format_value(row.get(col)) or "-" for col in columns] for row in rows]
@@ -305,7 +305,7 @@ def cmd_inertia_sweep(args: argparse.Namespace) -> int:
     # exact counts, no matrix: each family is congruent to a power-gcd one (arith.exact_inertia)
     n_values = parse_n_range(args.n)
     enforce_cap(max(n_values), False, args.allow_large)
-    counts = exact_inertia(n_values[-1], family_exponent(args))
+    counts = arith.exact_inertia(n_values[-1], family_exponent(args))
     rows = [{"n": n, "family": args.family, "positive": pos, "negative": neg,
              "zero": zero, "pos_minus_neg": pos - neg}
             for n, (pos, neg, zero) in zip(n_values, counts[n_values[0] - 1:])]
@@ -323,9 +323,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # the gcd blocks and the Gram blocks (for T_n) solved in one batch
     solved = jacobi_spectra([*(top.leading(n) for n in n_values),
                              *(gram.leading(n) for n in n_values)])
+    # max |J_1(i)| over i <= n, from one table at the top order
+    j_max = list(accumulate(arith.jordan_totient(n_values[-1], 1).values[1:], max))
     rows = []
     for n, spec, gram_spec in zip(n_values, solved, solved[len(n_values):]):
-        lo, hi = mh_interval(n, 1, 0, gram_spec.max)
+        lo, hi = mh_interval(n, 1, 0, gram_spec.max, j_max[n - 1])
         row = {"n": n, "mh_lower": lo, "mh_upper": hi,
                "actual_min": spec.min, "actual_max": spec.max}
         spread = spec.max - spec.min

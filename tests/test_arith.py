@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 import numpy as np
@@ -302,6 +303,26 @@ def test_s_squared_against_double_sum_oracle(ns, monkeypatch):
     for n in ns:
         assert s_squared_gcd(n) == s_squared_oracle(n, gcd)
         assert s_squared_lcm(n) == s_squared_oracle(n, lcm)
+
+
+def test_s_squared_is_the_two_term_form_across_a_regrown_table(monkeypatch):
+    # (2/n) P(n) - (7n^2 + 12n + 5)/12 for every n <= 4096, read from a
+    # table of 2048 that the sweep regrows once, to 4096
+    top = 4096
+    prefixes = {family: list(accumulate(row_sums(top).values)) for family, row_sums in (
+        ("gcd", arith.gcd_square_row_sum), ("lcm", arith.lcm_square_row_sum))}
+    builds = []
+    for name in ("gcd_square_row_sum", "lcm_square_row_sum"):
+        real = getattr(arith, name)
+        monkeypatch.setattr(arith, name,
+                            lambda n, real=real: builds.append(n) or real(n))
+    monkeypatch.setattr(arith, "_row_sum_prefix", {})
+    for family, prefix in prefixes.items():
+        arith.s_squared(top // 2, family)
+        for n in range(2, top + 1):
+            two_term = Fraction(2 * prefix[n], n) - Fraction(7 * n * n + 12 * n + 5, 12)
+            assert arith.s_squared(n, family) == two_term, (family, n)
+    assert builds == [top // 2, top] * 2
 
 
 def test_s_squared_positive():

@@ -7,7 +7,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import sqrt
 
 import numpy as np
@@ -221,7 +221,55 @@ class TestLcmBounds:
 
 
 
+def _rational_improved_floats(n, family, prefix):
+    """m, s, the trace and the four bounds of the improved row of order n
+    by the rational algebra: s^2 as a difference of two fractions, m, the
+    trace and the radicand by Fraction operators, float() of each at the
+    end. ``prefix[n]`` is the sum of the first n row sums."""
+    s2 = Fraction(2 * prefix[n], n) - Fraction(7 * n * n + 12 * n + 5, 12)
+    m = Fraction(n + 1, 2)
+    s = sqrt(float(s2))
+    if n == 2:
+        inner = s / sqrt(n - 1)
+    elif family == "gcd":
+        inner = sqrt(float((n * s2 + 2 * (n - 1)) / Fraction(n * n - n)))
+    else:
+        inner = sqrt(float((s2 + 32 * (n - 1)) / Fraction(n - 1)))
+    center, outer = float(m), s * sqrt(n - 1)
+    return (center, s, float(m * n),
+            center - outer, center - inner, center + inner, center + outer)
+
+
+def _radicand_by_operators(n, family, s2):
+    if family == "gcd":
+        return (n * s2 + 2 * (n - 1)) / Fraction(n * n - n)
+    return (s2 + 32 * (n - 1)) / Fraction(n - 1)
+
+
 class TestImprovedBounds:
+    @pytest.mark.parametrize("family, row_sums", [
+        ("gcd", arith.gcd_square_row_sum), ("lcm", arith.lcm_square_row_sum)])
+    def test_floats_are_those_of_the_rational_algebra(self, family, row_sums):
+        # every float of a row is one correctly rounded division of exact
+        # integers, so it is bit for bit float() of the exact rational
+        prefix = list(accumulate(row_sums(2000).values))
+        for n in range(2, 2001):
+            rep = improved_bounds(n, family)
+            got = (rep.m, rep.s, rep.trace, rep.lambda_min_lower, rep.lambda_min_upper,
+                   rep.lambda_max_lower, rep.lambda_max_upper)
+            expected = _rational_improved_floats(n, family, prefix)
+            assert list(map(float.hex, got)) == list(map(float.hex, expected)), n
+
+    @pytest.mark.parametrize("family", ["gcd", "lcm"])
+    def test_radicand_is_the_operator_form_off_the_true_variance(self, family):
+        # the values verify's corruptions feed it: zero, negative, one
+        # billionth high and one low
+        for n in range(3, 201):
+            s2 = arith.s_squared(n, family)
+            for value in (Fraction(0), -s2, s2 * (1 + Fraction(1, 10**9)), s2 - 1):
+                expected = _radicand_by_operators(n, family, value)
+                assert inner_radicand(n, family, value) == expected, (n, value)
+
     def test_radicand_gain_check_tests_inner_radicand(self, monkeypatch):
         # verify's radicand-gain rows read the code's radicand, so a wrong
         # lcm radicand fails them all, and no gcd row

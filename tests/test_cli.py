@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smith_spectra
+from smith_spectra import arith
 from smith_spectra.cli import FAMILIES, SUBCOMMANDS, main
 
 
@@ -272,6 +273,15 @@ class TestCompareCommand:
         for row in parse_json(out)["rows"]:
             assert row["mh_lower"] < row["min_lower"]
             assert row["max_upper"] < row["mh_upper"]
+
+    def test_one_jordan_table_for_the_range(self, capsys, monkeypatch):
+        # every order's max |J_1| comes from one table at the top order
+        tables = []
+        real = arith.jordan_totient
+        monkeypatch.setattr(arith, "jordan_totient",
+                            lambda *args: tables.append(args) or real(*args))
+        code, _ = run_cli(capsys, "compare", "--n", "2..30", "--format", "csv")
+        assert (code, tables) == (0, [(30, 1)])
 
     def test_rejects_other_families(self):
         # compare is defined for the gcd family only, so it has no --family
