@@ -221,6 +221,12 @@ class TestLcmBounds:
 
 
 
+def _radicand_by_operators(n, family, s2):
+    if family == "gcd":
+        return (n * s2 + 2 * (n - 1)) / Fraction(n * n - n)
+    return (s2 + 32 * (n - 1)) / Fraction(n - 1)
+
+
 def _rational_improved_floats(n, family, prefix):
     """m, s, the trace and the four bounds of the improved row of order n
     by the rational algebra: s^2 as a difference of two fractions, m, the
@@ -229,21 +235,10 @@ def _rational_improved_floats(n, family, prefix):
     s2 = Fraction(2 * prefix[n], n) - Fraction(7 * n * n + 12 * n + 5, 12)
     m = Fraction(n + 1, 2)
     s = sqrt(float(s2))
-    if n == 2:
-        inner = s / sqrt(n - 1)
-    elif family == "gcd":
-        inner = sqrt(float((n * s2 + 2 * (n - 1)) / Fraction(n * n - n)))
-    else:
-        inner = sqrt(float((s2 + 32 * (n - 1)) / Fraction(n - 1)))
+    inner = s / sqrt(n - 1) if n == 2 else sqrt(float(_radicand_by_operators(n, family, s2)))
     center, outer = float(m), s * sqrt(n - 1)
     return (center, s, float(m * n),
             center - outer, center - inner, center + inner, center + outer)
-
-
-def _radicand_by_operators(n, family, s2):
-    if family == "gcd":
-        return (n * s2 + 2 * (n - 1)) / Fraction(n * n - n)
-    return (s2 + 32 * (n - 1)) / Fraction(n - 1)
 
 
 class TestImprovedBounds:
