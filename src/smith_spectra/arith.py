@@ -102,25 +102,26 @@ def _linear_sieve(n: int) -> tuple[list[int], list[int], list[int]]:
 _sieve: tuple[tuple[int, ...], ...] = ((0,), (0,), (0,))
 
 
-def _sieved(n: int) -> tuple[tuple[int, ...], ...]:
-    """phi, mu and sign on 0..n, from the sieve regrown to a power of two."""
+def _sieved(n: int, k: int) -> tuple[int, ...]:
+    """The k-th sieve table (0 phi, 1 mu, 2 sign) on 0..n, from the sieve
+    regrown to a power of two."""
     global _sieve
     sieve = _sieve
     if len(sieve[0]) <= n:
         sieve = _sieve = tuple(map(tuple, _linear_sieve(1 << (n - 1).bit_length())))
-    return tuple(values[:n + 1] for values in sieve)
+    return sieve[k][:n + 1]
 
 
 def sieve_totient(n: int) -> ArithTable:
     """Euler's totient phi on 1..n, O(n)."""
     _require_positive(n)
-    return _table(n, _sieved(n)[0], "phi")
+    return _table(n, _sieved(n, 0), "phi")
 
 
 def sieve_mobius(n: int) -> ArithTable:
     """Moebius mu on 1..n, O(n)."""
     _require_positive(n)
-    return _table(n, _sieved(n)[1], "mu")
+    return _table(n, _sieved(n, 1), "mu")
 
 
 def zeta_table(n: int) -> ArithTable:
@@ -261,7 +262,7 @@ def exact_inertia(n: int, epsilon: float) -> list[tuple[int, int, int]]:
         return [(k, 0, 0) for k in range(1, n + 1)]
     if epsilon == 0:
         return [(1, 0, k - 1) for k in range(1, n + 1)]
-    odd = list(accumulate((v < 0 for v in _sieved(n)[2][1:]), initial=0))
+    odd = list(accumulate((v < 0 for v in _sieved(n, 2)[1:]), initial=0))
     return [(k - odd[k], odd[k], 0) for k in range(1, n + 1)]
 
 

@@ -1,19 +1,26 @@
-"""Eigenvalue bound families for gcd/lcm-family matrices.
+"""Trace statistics and eigenvalue bound families for gcd/lcm-family matrices.
 
-Bound centers use the spectral mean m = tr(A)/n, which is (n+1)/2 for both
-the gcd and the lcm matrix on {1..n}; the raw trace n(n+1)/2 is carried in
-every report for auditability since the two are easy to conflate.
+The Wolkowicz-Styan and improved brackets read a matrix only through its
+trace statistics m = tr(A)/n and s^2 = tr(A^2)/n - m^2
+(:class:`SpectralSummary`: rationals for an integer matrix, which makes it
+exact, floats otherwise), from the matrix traces (:func:`spectral_summary`)
+or, on {1..n}, from the gcd/lcm closed forms (:func:`closed_form_summary`).
+Bound centers use the spectral mean m, which is (n+1)/2 for both the gcd and
+the lcm matrix on {1..n}; the raw trace n(n+1)/2 is carried in every report
+for auditability since the two are easy to conflate.
 
 Families:
 
-* Wolkowicz-Styan: m -+ s/sqrt(n-1) and m -+ s*sqrt(n-1) for any real
-  spectrum, from the trace statistics alone.
+* Wolkowicz-Styan (:func:`ws_bounds`): m -+ s/sqrt(n-1) and m -+ s*sqrt(n-1)
+  for any real spectrum, from the trace statistics alone.
 * Improved gcd/lcm brackets (:func:`improved_bounds`): the inner
   Wolkowicz-Styan bound sharpened by a cross-term lower bound; the radicand
   (:func:`inner_radicand`) grows by exactly 2/n (gcd) and 32 (lcm) over
   s^2/(n-1). Each float is one correctly rounded int / int division (under
-  a root for s and the inner radius). ``_bracket(n, family, method, m, s,
-  trace, inner)`` builds every report, improved or not, from floats.
+  a root for s and the inner radius). At n = 2 there is no cross term, and
+  the row is the Wolkowicz-Styan one, flagged. ``_bracket(n, family,
+  method, m, s, trace, inner)`` builds every report, improved or not, from
+  floats.
 * Mattila-Haukkanen interval for mixed-power matrices, from the largest
   eigenvalue of the divisibility Gram matrix and Jordan totient maxima.
 * Hong-Lee upper bounds for reciprocal lcm matrices.
@@ -32,14 +39,8 @@ from math import ceil, sqrt
 import numpy as np
 
 from smith_spectra import arith
-from smith_spectra.eig import (
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_TOL,
-    Spectrum,
-    SpectralSummary,
-    jacobi_eigenvalues,
-)
-from smith_spectra.matrices import IntegerSet, divisibility_gram
+from smith_spectra.eig import DEFAULT_MAX_SWEEPS, DEFAULT_TOL, Spectrum, jacobi_eigenvalues
+from smith_spectra.matrices import IntegerSet, SymMatrix, divisibility_gram
 
 METHOD_WS = "ws"
 
@@ -101,9 +102,45 @@ class HongConstant:
     witness: tuple[tuple[int, ...], ...]
 
 
+@dataclass(frozen=True)
+class SpectralSummary:
+    """Trace statistics m = tr(A)/n and s^2 = tr(A^2)/n - m^2: exact
+    rationals for integer matrices, floats for real-exponent families."""
+
+    n: int
+    m: Fraction | float
+    s_squared: Fraction | float
+
+    def __post_init__(self):
+        if self.s_squared < 0:
+            raise ValueError(f"negative spectral variance {self.s_squared}")
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.m, Fraction) and isinstance(self.s_squared, Fraction)
+
+    @property
+    def s(self) -> float:
+        return sqrt(float(self.s_squared))
+
+
+def spectral_summary(a: SymMatrix) -> SpectralSummary:
+    """m and s^2 from the matrix traces: tr(A) and tr(A^2) = sum a_ij^2."""
+    n = a.order
+    if a.exact is not None:
+        # int64 holds each row's sum of squares; the rows add as Python ints
+        trace = sum(np.diagonal(a.exact).tolist())
+        trace_sq = sum((a.exact * a.exact).sum(axis=1).tolist())
+        m = Fraction(trace, n)
+        return SpectralSummary(n, m, Fraction(trace_sq, n) - m * m)
+    m = float(np.trace(a.entries)) / n
+    s_squared = float(np.sum(a.entries * a.entries)) / n - m * m
+    return SpectralSummary(n, m, max(s_squared, 0.0))
+
+
 def closed_form_summary(n: int, family: str) -> SpectralSummary:
     """Trace statistics of the gcd/lcm matrix on {1..n} from the exact closed forms."""
-    return SpectralSummary(n, Fraction(n + 1, 2), arith.s_squared(n, family), exact=True)
+    return SpectralSummary(n, Fraction(n + 1, 2), arith.s_squared(n, family))
 
 
 def _bracket(n: int, family: str, method: str, m: float, s: float, trace: float,
@@ -118,7 +155,7 @@ def _bracket(n: int, family: str, method: str, m: float, s: float, trace: float,
     )
 
 
-def ws_bounds(summary: SpectralSummary, family: str = "custom") -> BoundsReport:
+def ws_bounds(summary: SpectralSummary, family: str) -> BoundsReport:
     """Wolkowicz-Styan brackets from m and s:
 
     m - s*sqrt(n-1) <= lambda_min <= m - s/sqrt(n-1)
@@ -155,11 +192,10 @@ def improved_bounds(n: int, family: str) -> BoundsReport:
     """
     if n < 2:
         raise ValueError(f"{family} bounds need n >= 2, got {n}")
+    if n == 2:
+        return replace(ws_bounds(closed_form_summary(n, family), family), flag=WS_FALLBACK_FLAG)
     s_squared = arith.s_squared(n, family)
     m, s, trace = (n + 1) / 2, sqrt(float(s_squared)), float(n * (n + 1) // 2)
-    if n == 2:
-        # Wolkowicz-Styan, whose inner radius s/sqrt(n - 1) is s itself
-        return replace(_bracket(n, family, METHOD_WS, m, s, trace, s), flag=WS_FALLBACK_FLAG)
     radicand = inner_radicand(n, family, s_squared)
     return _bracket(n, family, f"improved_{family}", m, s, trace, sqrt(float(radicand)))
 

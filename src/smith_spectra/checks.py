@@ -24,9 +24,10 @@ from math import gcd
 import numpy as np
 
 from smith_spectra import arith
-from smith_spectra.bounds import (BoundsReport, closed_form_summary, improved_bounds,
-                                  inner_radicand, mh_interval, ws_bounds)
-from smith_spectra.eig import Spectrum, SpectralSummary, jacobi_spectra, spectral_summary
+from smith_spectra.bounds import (BoundsReport, SpectralSummary, closed_form_summary,
+                                  improved_bounds, inner_radicand, mh_interval,
+                                  spectral_summary, ws_bounds)
+from smith_spectra.eig import Spectrum, jacobi_spectra
 from smith_spectra.matrices import (IntegerSet, SymMatrix, divisibility_gram, gcd_matrix,
                                     lcm_matrix)
 

@@ -27,14 +27,14 @@ from itertools import accumulate
 from math import isfinite, sqrt
 
 from smith_spectra import __version__, arith
-from smith_spectra.bounds import gcd_bounds, improved_bounds, mh_interval, ws_bounds
+from smith_spectra.bounds import (gcd_bounds, improved_bounds, mh_interval, spectral_summary,
+                                  ws_bounds)
 from smith_spectra.checks import failures, run_checks
 from smith_spectra.eig import (
     JacobiConvergenceError,
     default_backend,
     jacobi_eigenvalues,
     jacobi_spectra,
-    spectral_summary,
 )
 from smith_spectra.matrices import (
     IntegerSet,
@@ -219,25 +219,25 @@ def _single_n(args: argparse.Namespace, n_values: list[int]) -> int | None:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     n_values, explicit = read_target(args, needs_solve=args.with_actual)
+    # an explicit set is the one order len(set), whose leading block is the matrix
+    orders = n_values or [len(explicit)]
     # the improved methods apply to {1..n} only; explicit sets and the
     # real-exponent families get Wolkowicz-Styan from their traces
     improved = explicit is None and args.family in ("gcd", "lcm")
-    targets = [None] if explicit is not None else n_values
-    blocks = [None] * len(targets)
     if args.with_actual or not improved:
         # every order's matrix is a leading block of the one at the top order
-        top = build_matrix(args, explicit, targets[-1])
-        blocks = [top if n is None else top.leading(n) for n in targets]
+        top = build_matrix(args, explicit, orders[-1])
+        blocks = [top.leading(n) for n in orders]
     # the solves run first, in one batch; without --with-actual there are none
-    actuals = jacobi_spectra(blocks) if args.with_actual else [None] * len(targets)
+    actuals = jacobi_spectra(blocks) if args.with_actual else None
     rows = []
-    for n, matrix, actual in zip(targets, blocks, actuals):
+    for i, n in enumerate(orders):
         if improved:
             report = improved_bounds(n, args.family)
         else:
-            report = ws_bounds(spectral_summary(matrix), args.family)
-        if actual is not None:
-            report = report.with_actual(actual)
+            report = ws_bounds(spectral_summary(blocks[i]), args.family)
+        if actuals:
+            report = report.with_actual(actuals[i])
         rows.append({
             "n": report.n, "family": report.family, "method": report.method,
             "m": report.m, "s": report.s,

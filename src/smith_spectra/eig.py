@@ -1,4 +1,4 @@
-"""Symmetric eigensolver and trace statistics.
+"""Symmetric eigensolver.
 
 The solver is a self-contained cyclic Jacobi iteration. Its convergence
 loop is :mod:`smith_spectra._jacobi_py`'s, in numpy; the rotations of
@@ -12,6 +12,7 @@ There is one tolerance, :data:`DEFAULT_TOL`, and one sweep cap,
 :attr:`Spectrum.off_norm` reports the residual reached. This solver is the
 ground truth every bound in :mod:`smith_spectra.bounds` is validated
 against, which is why it does not delegate to an external eigensolver.
+The trace statistics those bounds read live in that module, not here.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isfinite, sqrt
+from math import isfinite
 
 import numpy as np
 
@@ -70,38 +70,12 @@ class Spectrum:
     off_norm: float
 
     @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
-
-    @property
     def min(self) -> float:
         return self.eigenvalues[0]
 
     @property
     def max(self) -> float:
         return self.eigenvalues[-1]
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Trace statistics m = tr(A)/n and s^2 = tr(A^2)/n - m^2.
-
-    Exact rationals for integer matrices; floats (``exact=False``) for
-    real-exponent families.
-    """
-
-    n: int
-    m: Fraction | float
-    s_squared: Fraction | float
-    exact: bool
-
-    def __post_init__(self):
-        if self.s_squared < 0:
-            raise ValueError(f"negative spectral variance {self.s_squared}")
-
-    @property
-    def s(self) -> float:
-        return sqrt(float(self.s_squared))
 
 
 def _as_array(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, float]:
@@ -160,17 +134,3 @@ def jacobi_spectra(matrices: Sequence[SymMatrix | np.ndarray]) -> list[Spectrum]
     with ThreadPoolExecutor(max(1, min(_cpus(), len(matrices)))) as pool:
         # the module's name, looked up now, so that a wrapped solver sees each solve
         return list(pool.map(jacobi_eigenvalues, matrices))
-
-
-def spectral_summary(a: SymMatrix) -> SpectralSummary:
-    """m and s^2 from the matrix traces: tr(A) and tr(A^2) = sum a_ij^2."""
-    n = a.order
-    if a.exact is not None:
-        # int64 holds each row's sum of squares; the rows add as Python ints
-        trace = sum(np.diagonal(a.exact).tolist())
-        trace_sq = sum((a.exact * a.exact).sum(axis=1).tolist())
-        m = Fraction(trace, n)
-        return SpectralSummary(n, m, Fraction(trace_sq, n) - m * m, exact=True)
-    m = float(np.trace(a.entries)) / n
-    s_squared = float(np.sum(a.entries * a.entries)) / n - m * m
-    return SpectralSummary(n, m, max(s_squared, 0.0), exact=False)

@@ -5,6 +5,7 @@ from the solver rather than hard-coded."""
 
 import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
@@ -19,6 +20,7 @@ from smith_spectra.bounds import (
     HONG_MAX_N,
     WS_FALLBACK_FLAG,
     BoundsReport,
+    SpectralSummary,
     _hong_margin,
     _trace_certificates,
     _unit_lower,
@@ -31,18 +33,17 @@ from smith_spectra.bounds import (
     inner_radicand,
     lcm_bounds,
     mh_interval,
+    spectral_summary,
     ws_bounds,
 )
-from smith_spectra.eig import (
-    SpectralSummary,
-    jacobi_eigenvalues,
-    spectral_summary,
-)
+from smith_spectra.eig import jacobi_eigenvalues
 from smith_spectra.matrices import (
     IntegerSet,
+    SymMatrix,
     divisibility_gram,
     gcd_matrix,
     lcm_matrix,
+    power_gcd_matrix,
     reciprocal_lcm_matrix,
 )
 
@@ -67,6 +68,41 @@ def _hong_exhaustive(n):
     return smallest, np.linalg.eigvalsh(gram)[:, 0], y
 
 
+class TestSpectralSummary:
+    def test_gcd_s2_exact(self):
+        summary = spectral_summary(gcd_matrix(IntegerSet.of(1, 2)))
+        assert summary.exact
+        assert summary.m == pytest.approx(1.5)
+        assert float(summary.s_squared) == pytest.approx(1.25)
+
+    def test_lcm_s2_exact(self):
+        summary = spectral_summary(lcm_matrix(IntegerSet.of(1, 2)))
+        assert float(summary.s_squared) == pytest.approx(4.25)
+
+    def test_identity_matrix_summary(self):
+        n = 6
+        eye_rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        m = SymMatrix(n, np.eye(n), "custom", IntegerSet.first_n(n), exact=eye_rows)
+        summary = spectral_summary(m)
+        assert summary.exact
+        assert summary.m == 1
+        assert summary.s_squared == 0
+
+    def test_all_ones_matrix_summary(self):
+        m = power_gcd_matrix(IntegerSet.of(2, 3, 5, 7), 0.0)  # all-ones matrix
+        summary = spectral_summary(m)
+        assert not summary.exact
+        assert summary.m == pytest.approx(1.0)
+        # all-ones: s^2 = n - 1
+        assert summary.s_squared == pytest.approx(3.0)
+
+    def test_exact_is_read_from_the_values(self):
+        assert SpectralSummary(3, Fraction(2), Fraction(1, 3)).exact
+        assert closed_form_summary(7, "lcm").exact
+        assert not SpectralSummary(3, 2.0, Fraction(1, 3)).exact
+        assert not SpectralSummary(3, Fraction(2), 0.5).exact
+
+
 class TestWolkowiczStyan:
     def test_equality_at_n2_gcd(self):
         rep = ws_bounds(spectral_summary(gcd_matrix(IntegerSet.of(1, 2))), "gcd")
@@ -82,7 +118,7 @@ class TestWolkowiczStyan:
         assert rep.lambda_min_upper == pytest.approx(exact, abs=1e-12)
 
     def test_zero_variance_collapses_to_mean(self):
-        rep = ws_bounds(SpectralSummary(5, Fraction(3), Fraction(0), exact=True))
+        rep = ws_bounds(SpectralSummary(5, Fraction(3), Fraction(0)), "custom")
         assert (
             rep.lambda_min_lower
             == rep.lambda_min_upper
@@ -93,7 +129,7 @@ class TestWolkowiczStyan:
 
     def test_rejects_order_one(self):
         with pytest.raises(ValueError):
-            ws_bounds(SpectralSummary(1, Fraction(1), Fraction(0), exact=True))
+            ws_bounds(SpectralSummary(1, Fraction(1), Fraction(0)), "custom")
 
     @pytest.mark.parametrize("n", [2, 5, 20, 77])
     def test_closed_form_pipeline_is_bitwise_identical(self, n):
@@ -111,6 +147,32 @@ class TestWolkowiczStyan:
             tol = 1e-9 * max(1.0, abs(rep.actual_max))
             assert rep.lambda_min_lower - tol <= rep.actual_min <= rep.lambda_min_upper + tol
             assert rep.lambda_max_lower - tol <= rep.actual_max <= rep.lambda_max_upper + tol
+
+
+
+def test_known_defect_ws_inner_bound_cancels_when_s_is_close_to_m():
+    """Known defect (ROADMAP item 4): ws_bounds loses every digit of
+    m - s/sqrt(n-1) when s/sqrt(n-1) is close to m.
+
+    On the gcd matrix of {2, 3, 2^60}, m and s/sqrt(2) are both 3.84e17 and
+    m - s/sqrt(2) is 2.4999999999999999973 (mpmath, 60 digits), but the float
+    difference is 0: an upper bound on lambda_min that lies below the true
+    lambda_min = 1.38196601125. The solver's actual_min is 2, the diagonal
+    after 0 sweeps: the off-diagonal norm sqrt(12) = 3.46 is already under its
+    target 1e-12 * ||A||_F = 1.15e6. Evaluating m - c*s from the exact
+    rationals, as (m^2 - c^2 s^2)/(m + c*s), is expected to flip this test.
+    """
+    matrix = gcd_matrix(IntegerSet.of(2, 3, 1 << 60))
+    summary = spectral_summary(matrix)
+    spectrum = solve(matrix)
+    rep = ws_bounds(summary, "gcd").with_actual(spectrum)
+    assert rep.lambda_min_upper == 0.0 < 1.38196601125
+    assert (spectrum.sweeps, rep.actual_min) == (0, 2.0)
+    assert spectrum.off_norm == pytest.approx(sqrt(12))
+    assert spectrum.off_norm < 1e-12 * np.linalg.norm(matrix.entries)
+    # the exact route keeps the digits
+    gap = summary.m ** 2 - summary.s_squared / 2
+    assert float(gap) / (float(summary.m) + summary.s / sqrt(2)) == pytest.approx(2.5)
 
 
 class TestGcdBounds:
@@ -133,6 +195,8 @@ class TestGcdBounds:
         rep = gcd_bounds(2)
         assert rep.flag == WS_FALLBACK_FLAG
         assert rep.method == "ws"
+        assert rep == replace(ws_bounds(closed_form_summary(2, "gcd"), "gcd"),
+                              flag=WS_FALLBACK_FLAG)
 
     def test_rejects_n1(self):
         with pytest.raises(ValueError):
@@ -190,6 +254,8 @@ class TestLcmBounds:
     def test_n2_falls_back_to_ws(self):
         rep = lcm_bounds(2)
         assert rep.flag == WS_FALLBACK_FLAG
+        assert rep == replace(ws_bounds(closed_form_summary(2, "lcm"), "lcm"),
+                              flag=WS_FALLBACK_FLAG)
         exact = (3 - sqrt(17)) / 2
         assert rep.lambda_min_lower == pytest.approx(exact, abs=1e-12)
         assert rep.lambda_min_upper == pytest.approx(exact, abs=1e-12)

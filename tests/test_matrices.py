@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smith_spectra.eig import spectral_summary
+from smith_spectra.bounds import spectral_summary
 from smith_spectra.matrices import (
     IntegerSet,
     divisibility_gram,

@@ -2,11 +2,16 @@
 script and the C sweep source it ships as package data; there is no
 setup.py and no build step, and a compiled sweep lives only in a
 ``__pycache__`` directory. The package namespace holds only
-``__version__``, so importing one module loads only the layers below it."""
+``__version__``, so importing one module loads only the layers below it.
+The names the benchmark harness calls and wraps stay where it looks them up."""
 
+import json
 import subprocess
 import sys
+from math import sqrt
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +55,30 @@ def test_imports_follow_the_layers():
     assert _loaded("import smith_spectra.arith") == {"smith_spectra", "smith_spectra.arith"}
     assert "smith_spectra._jacobi_c" not in _loaded("import smith_spectra.matrices")
     assert _loaded("from smith_spectra import __version__") == {"smith_spectra"}
+
+
+def test_names_the_benchmark_binds():
+    # the harness calls these and wraps them by name: a name that moves must
+    # fail here, not break the harness or zero one of its per-layer counts
+    from smith_spectra import arith, bounds, cli, eig, matrices
+
+    assert callable(cli.main) and callable(cli.render)
+    spec = eig.jacobi_eigenvalues([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    assert spec.eigenvalues == pytest.approx((2 - sqrt(2), 2.0, 2 + sqrt(2)))
+    assert eig.default_backend() in eig.available_backends()
+    assert all(callable(kernel.cyclic_jacobi) for kernel in eig.available_backends().values())
+    result = bounds.hong_cn(3)
+    json.dumps({"n": result.n, "c_n": result.c_n, "witness": result.witness})
+    # the per-layer counts wrap public functions defined in their own module
+    for module, name in ((arith, "sieve_totient"), (arith, "sieve_mobius"),
+                         (bounds, "closed_form_summary"), (bounds, "mh_interval"),
+                         (matrices, "matrix_to_csv")):
+        assert getattr(module, name).__module__ == module.__name__, name
+
+
+def test_eig_is_only_the_solver():
+    # the trace statistics live beside the brackets that read them
+    from smith_spectra import bounds, eig
+
+    assert not {"SpectralSummary", "spectral_summary", "Fraction"} & set(vars(eig))
+    assert bounds.spectral_summary.__module__ == bounds.__name__
