@@ -39,11 +39,9 @@ from smith_spectra.bounds import (
 from smith_spectra.eig import jacobi_eigenvalues
 from smith_spectra.matrices import (
     IntegerSet,
-    SymMatrix,
     divisibility_gram,
     gcd_matrix,
     lcm_matrix,
-    power_gcd_matrix,
     reciprocal_lcm_matrix,
 )
 
@@ -69,33 +67,6 @@ def _hong_exhaustive(n):
 
 
 class TestSpectralSummary:
-    def test_gcd_s2_exact(self):
-        summary = spectral_summary(gcd_matrix(IntegerSet.of(1, 2)))
-        assert summary.exact
-        assert summary.m == pytest.approx(1.5)
-        assert float(summary.s_squared) == pytest.approx(1.25)
-
-    def test_lcm_s2_exact(self):
-        summary = spectral_summary(lcm_matrix(IntegerSet.of(1, 2)))
-        assert float(summary.s_squared) == pytest.approx(4.25)
-
-    def test_identity_matrix_summary(self):
-        n = 6
-        eye_rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        m = SymMatrix(n, np.eye(n), "custom", IntegerSet.first_n(n), exact=eye_rows)
-        summary = spectral_summary(m)
-        assert summary.exact
-        assert summary.m == 1
-        assert summary.s_squared == 0
-
-    def test_all_ones_matrix_summary(self):
-        m = power_gcd_matrix(IntegerSet.of(2, 3, 5, 7), 0.0)  # all-ones matrix
-        summary = spectral_summary(m)
-        assert not summary.exact
-        assert summary.m == pytest.approx(1.0)
-        # all-ones: s^2 = n - 1
-        assert summary.s_squared == pytest.approx(3.0)
-
     def test_exact_is_read_from_the_values(self):
         assert SpectralSummary(3, Fraction(2), Fraction(1, 3)).exact
         assert closed_form_summary(7, "lcm").exact

@@ -13,6 +13,7 @@ import pytest
 
 from smith_spectra import _jacobi_py, eig
 from smith_spectra.arith import smith_determinant
+from smith_spectra.bounds import spectral_summary
 from smith_spectra.checks import MH_CAP
 from smith_spectra.eig import (
     JacobiConvergenceError,
@@ -260,3 +261,39 @@ class TestJacobiSpectra:
             monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert repr(jacobi_spectra(blocks)) == expected
         assert len(set(kernel_threads)) == 1
+
+
+# spectral_summary lives in bounds and calls no kernel; these tests keep
+# the per-backend ids they had when it lived in eig.
+@by_backend
+class TestSpectralSummary:
+    def test_gcd_s2_exact(self):
+        summary = spectral_summary(gcd_matrix(IntegerSet.of(1, 2)))
+        assert summary.exact
+        assert summary.m == pytest.approx(1.5)
+        assert float(summary.s_squared) == pytest.approx(1.25)
+
+    def test_lcm_s2_exact(self):
+        summary = spectral_summary(lcm_matrix(IntegerSet.of(1, 2)))
+        assert float(summary.s_squared) == pytest.approx(4.25)
+
+    def test_identity_matrix_summary(self):
+        from smith_spectra.matrices import SymMatrix
+
+        n = 6
+        eye_rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        m = SymMatrix(n, np.eye(n), "custom", IntegerSet.first_n(n), exact=eye_rows)
+        summary = spectral_summary(m)
+        assert summary.exact
+        assert summary.m == 1
+        assert summary.s_squared == 0
+
+    def test_all_ones_matrix_summary(self):
+        from smith_spectra.matrices import power_gcd_matrix
+
+        m = power_gcd_matrix(IntegerSet.of(2, 3, 5, 7), 0.0)  # all-ones matrix
+        summary = spectral_summary(m)
+        assert not summary.exact
+        assert summary.m == pytest.approx(1.0)
+        # all-ones: s^2 = n - 1
+        assert summary.s_squared == pytest.approx(3.0)
