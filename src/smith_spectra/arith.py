@@ -33,18 +33,15 @@ class ArithTable:
     that ``table[k]`` is the value at k.
     """
 
-    limit: int
     values: tuple[int, ...]
-    label: str
 
     def __post_init__(self):
-        if self.limit < 1:
-            raise ValueError("table limit must be >= 1")
-        if len(self.values) != self.limit + 1:
-            raise ValueError(
-                f"table of limit {self.limit} needs {self.limit + 1} slots, "
-                f"got {len(self.values)}"
-            )
+        if len(self.values) < 2:
+            raise ValueError(f"a table needs slots 0 and 1, got {len(self.values)} slots")
+
+    @property
+    def limit(self) -> int:
+        return len(self.values) - 1
 
     def __getitem__(self, k: int) -> int:
         if not 1 <= k <= self.limit:
@@ -62,10 +59,6 @@ class ArithTable:
 def _require_positive(n: int) -> None:
     if n < 1:
         raise ValueError(f"argument must be a positive integer, got {n}")
-
-
-def _table(limit: int, slots: list[int] | tuple[int, ...], label: str) -> ArithTable:
-    return ArithTable(limit, tuple(slots), label)
 
 
 def _linear_sieve(n: int) -> tuple[list[int], list[int], list[int]]:
@@ -115,19 +108,19 @@ def _sieved(n: int, k: int) -> tuple[int, ...]:
 def sieve_totient(n: int) -> ArithTable:
     """Euler's totient phi on 1..n, O(n)."""
     _require_positive(n)
-    return _table(n, _sieved(n, 0), "phi")
+    return ArithTable(_sieved(n, 0))
 
 
 def sieve_mobius(n: int) -> ArithTable:
     """Moebius mu on 1..n, O(n)."""
     _require_positive(n)
-    return _table(n, _sieved(n, 1), "mu")
+    return ArithTable(_sieved(n, 1))
 
 
 def zeta_table(n: int) -> ArithTable:
     """The constant function zeta(k) = 1 on 1..n."""
     _require_positive(n)
-    return _table(n, [0] + [1] * n, "zeta")
+    return ArithTable((0,) + (1,) * n)
 
 
 def power_table(n: int, k: int) -> ArithTable:
@@ -135,7 +128,7 @@ def power_table(n: int, k: int) -> ArithTable:
     _require_positive(n)
     if k < 0:
         raise ValueError(f"power exponent must be >= 0, got {k}")
-    return _table(n, [0] + [m**k for m in range(1, n + 1)], f"N^{k}")
+    return ArithTable((0, *(m**k for m in range(1, n + 1))))
 
 
 def jordan_totient(n: int, k: int) -> ArithTable:
@@ -143,10 +136,10 @@ def jordan_totient(n: int, k: int) -> ArithTable:
     _require_positive(n)
     if k < 0:
         raise ValueError(f"Jordan totient order must be >= 0, got {k}")
-    return dirichlet_convolve(power_table(n, k), sieve_mobius(n), label=f"jordan_{k}")
+    return dirichlet_convolve(power_table(n, k), sieve_mobius(n))
 
 
-def dirichlet_convolve(f: ArithTable, g: ArithTable, label: str | None = None) -> ArithTable:
+def dirichlet_convolve(f: ArithTable, g: ArithTable) -> ArithTable:
     """Dirichlet convolution (f * g)(m) = sum_{d|m} f(d) g(m/d).
 
     Both tables must share the same limit; divisor iteration gives
@@ -163,7 +156,7 @@ def dirichlet_convolve(f: ArithTable, g: ArithTable, label: str | None = None) -
             continue
         for q in range(1, n // d + 1):
             out[d * q] += fd * gv[q]
-    return _table(n, out, label or f"({f.label})*({g.label})")
+    return ArithTable(tuple(out))
 
 
 def divisors(t: int) -> list[int]:
@@ -183,25 +176,21 @@ def divisors(t: int) -> list[int]:
 def gcd_square_row_sum(n: int) -> ArithTable:
     """Row sums sum_{j<=i} gcd(i,j)^2 for i = 1..n, via (N^2 * phi)(i)."""
     _require_positive(n)
-    return dirichlet_convolve(power_table(n, 2), sieve_totient(n), label="N^2*phi")
-
-
-def coprime_square_sum(t: int) -> int:
-    """Sum of k^2 over 1 <= k <= t with gcd(k, t) = 1."""
-    return coprime_square_sum_table(t)[t]
+    return dirichlet_convolve(power_table(n, 2), sieve_totient(n))
 
 
 def coprime_square_sum_table(n: int) -> ArithTable:
-    """coprime_square_sum(t) for all t <= n in one O(n log n) pass.
+    """Sums of k^2 over 1 <= k <= t with gcd(k, t) = 1, for every t <= n in
+    one O(n log n) pass.
 
     Moebius inversion over d = gcd(k, t) gives sum_{d|t} mu(d) d^2 S(t/d),
     i.e. ((N^2 mu) * S)(t) with S(q) = q(q + 1)(2q + 1)/6 the sum of the
     first q squares: one convolution of integer tables, no division after.
     """
     mu = sieve_mobius(n)
-    n2_mu = _table(n, [d * d * m for d, m in enumerate(mu.values)], "N^2*mu")
-    squares = _table(n, list(accumulate(q * q for q in range(n + 1))), "S")
-    return dirichlet_convolve(n2_mu, squares, label="coprime_sq")
+    n2_mu = ArithTable(tuple(d * d * m for d, m in enumerate(mu.values)))
+    squares = ArithTable(tuple(accumulate(q * q for q in range(n + 1))))
+    return dirichlet_convolve(n2_mu, squares)
 
 
 def lcm_square_row_sum(n: int) -> ArithTable:
@@ -212,7 +201,7 @@ def lcm_square_row_sum(n: int) -> ArithTable:
     """
     _require_positive(n)
     gz = dirichlet_convolve(coprime_square_sum_table(n), zeta_table(n)).values
-    return _table(n, [i * i * v for i, v in enumerate(gz)], "lcm_sq_rowsum")
+    return ArithTable(tuple(i * i * v for i, v in enumerate(gz)))
 
 
 # family -> prefix sums P[k] = sum_{i<=k} (row sum i), for k = 0..limit; one

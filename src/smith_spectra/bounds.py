@@ -189,6 +189,11 @@ def improved_bounds(n: int, family: str) -> BoundsReport:
     matrix on {1..n}: the inner bounds are m -+ sqrt(inner_radicand), the
     outer bounds stay Wolkowicz-Styan. Needs n >= 3 (n = 2 falls back,
     flagged). Each float is that of an exact rational: one int / int division.
+
+    Note: the lcm cross-term argument behind the +32 rests on interlacing
+    against the order-4 matrix, so the lcm inner bounds are only guaranteed
+    from n = 4 on; at n = 3 the smallest eigenvalue actually violates its
+    inner bound (see the verification sweep, which reports this).
     """
     if n < 2:
         raise ValueError(f"{family} bounds need n >= 2, got {n}")
@@ -198,22 +203,6 @@ def improved_bounds(n: int, family: str) -> BoundsReport:
     m, s, trace = (n + 1) / 2, sqrt(float(s_squared)), float(n * (n + 1) // 2)
     radicand = inner_radicand(n, family, s_squared)
     return _bracket(n, family, f"improved_{family}", m, s, trace, sqrt(float(radicand)))
-
-
-def gcd_bounds(n: int) -> BoundsReport:
-    """:func:`improved_bounds` of the gcd matrix on {1..n}."""
-    return improved_bounds(n, "gcd")
-
-
-def lcm_bounds(n: int) -> BoundsReport:
-    """:func:`improved_bounds` of the lcm matrix on {1..n}.
-
-    Note: the cross-term argument behind the +32 rests on interlacing
-    against the order-4 matrix, so the inner bounds are only guaranteed
-    from n = 4 on; at n = 3 the smallest eigenvalue actually violates its
-    inner bound (see the verification sweep, which reports this).
-    """
-    return improved_bounds(n, "lcm")
 
 
 def mh_interval(n: int, alpha: float, beta: float, t_n: float | None = None,

@@ -82,10 +82,10 @@ def _exact_checks(n_max: int) -> list[CheckResult]:
 
     # Moebius inversion round trip for phi and N^2
     mu, zeta = arith.sieve_mobius(n_max), arith.zeta_table(n_max)
-    for table in (arith.sieve_totient(n_max), arith.power_table(n_max, 2)):
+    for name, table in (("phi", arith.sieve_totient(n_max)), ("N^2", arith.power_table(n_max, 2))):
         back = arith.dirichlet_convolve(arith.dirichlet_convolve(table, mu), zeta)
         ok = back.to_list() == table.to_list()
-        out.append(CheckResult(f"mobius_inversion[{table.label}]", n_max, ok))
+        out.append(CheckResult(f"mobius_inversion[{name}]", n_max, ok))
 
     conv = arith.dirichlet_convolve(arith.sieve_totient(n_max), zeta)
     ok = conv.to_list() == list(range(1, n_max + 1))

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import accumulate
 from math import isfinite, sqrt
 
 from smith_spectra import __version__, arith
-from smith_spectra.bounds import (gcd_bounds, improved_bounds, mh_interval, spectral_summary,
-                                  ws_bounds)
+from smith_spectra.bounds import improved_bounds, mh_interval, spectral_summary, ws_bounds
 from smith_spectra.checks import failures, run_checks
 from smith_spectra.eig import (
     JacobiConvergenceError,
@@ -50,7 +48,6 @@ from smith_spectra.matrices import (
 
 BOUNDS_CAP = 2000  # bound evaluation only, no eigensolve
 SOLVE_CAP = 500  # anything that runs the O(n^3)-per-sweep solver
-CAP_ENV_VAR = "SMITH_SPECTRA_MAX_N"
 
 FAMILIES = ("gcd", "lcm", "power-gcd", "recip-lcm", "mixed")
 
@@ -66,17 +63,10 @@ class UsageError(ValueError):
 
 
 def enforce_cap(top: int, needs_solve: bool, allow_large: bool) -> None:
-    """Refuse an order above the cap (SMITH_SPECTRA_MAX_N, else the solve or
-    bounds default); --allow-large goes ahead with a warning instead."""
+    """Refuse an order above the solve cap (when the command solves) or the
+    bounds cap; --allow-large goes ahead with a warning instead, and keeps
+    each cap separate."""
     limit = SOLVE_CAP if needs_solve else BOUNDS_CAP
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        try:
-            limit = int(env)
-        except ValueError:
-            raise UsageError(f"{CAP_ENV_VAR}={env!r} is not an integer") from None
-        if limit < 1:
-            raise UsageError(f"{CAP_ENV_VAR}={env!r} must be >= 1")
     if top <= limit:
         return
     if allow_large:
@@ -84,9 +74,7 @@ def enforce_cap(top: int, needs_solve: bool, allow_large: bool) -> None:
             f"warning: n={top} exceeds the default cap {limit}; "
             f"proceeding (--allow-large)", file=sys.stderr)
         return
-    raise UsageError(
-        f"n={top} exceeds the cap {limit}; pass --allow-large or set "
-        f"{CAP_ENV_VAR} to override")
+    raise UsageError(f"n={top} exceeds the cap {limit}; pass --allow-large to override")
 
 
 def parse_n_range(text: str) -> list[int]:
@@ -332,7 +320,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                "actual_min": spec.min, "actual_max": spec.max}
         spread = spec.max - spec.min
         if n >= 2:
-            report = gcd_bounds(n)
+            report = improved_bounds(n, "gcd")
             row.update({
                 "min_lower": report.lambda_min_lower, "min_upper": report.lambda_min_upper,
                 "max_lower": report.lambda_max_lower, "max_upper": report.lambda_max_upper,
@@ -357,7 +345,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
             "abs_tol": tol, "status": abs(actual - expected) <= tol,
         })
 
-    rep = gcd_bounds(20)
+    rep = improved_bounds(20, "gcd")
     check("gcd20_min_lower", rep.lambda_min_lower, -40.2114, 5e-4)
     check("gcd20_min_upper", rep.lambda_min_upper, 7.8123, 5e-4)
     check("gcd20_max_lower", rep.lambda_max_lower, 13.1876, 5e-4)

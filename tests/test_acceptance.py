@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import gcd, lcm, sqrt
 
 from smith_spectra.arith import (
-    coprime_square_sum,
+    coprime_square_sum_table,
     gcd_square_row_sum,
     lcm_square_row_sum,
     power_table,
@@ -31,10 +31,9 @@ from smith_spectra.arith import (
 )
 from smith_spectra.bounds import (
     closed_form_summary,
-    gcd_bounds,
     hong_cn,
     hong_lower_bound,
-    lcm_bounds,
+    improved_bounds,
     ws_bounds,
 )
 from smith_spectra.cli import main
@@ -129,7 +128,7 @@ def test_criterion_5_exact_identity_suite():
         if lcm_rows[i] != sum(lcm(i, j) ** 2 for j in range(1, i + 1)):
             bad.append(("lcm_rowsum", i))
     for t in range(1, 501):
-        if coprime_square_sum(t) != sum(k * k for k in range(1, t + 1) if gcd(k, t) == 1):
+        if coprime_square_sum_table(t)[t] != sum(k * k for k in range(1, t + 1) if gcd(k, t) == 1):
             bad.append(("coprime_square_sum", t))
 
     tr2_gcd = tr2_lcm = 1  # n = 1 contribution
@@ -154,8 +153,8 @@ def test_criterion_6_bracketing_sweep():
     for n in range(3, SWEEP_MAX + 1):
         gcd_spec, lcm_spec = sweep_spectra()[n]
         for family, spec, improved in (
-            ("gcd", gcd_spec, gcd_bounds(n)),
-            ("lcm", lcm_spec, lcm_bounds(n)),
+            ("gcd", gcd_spec, improved_bounds(n, "gcd")),
+            ("lcm", lcm_spec, improved_bounds(n, "lcm")),
         ):
             rep = improved.with_actual(spec)
             if not rep.brackets_actual():

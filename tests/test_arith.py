@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from smith_spectra import arith
 from smith_spectra.arith import (
     ArithTable,
-    coprime_square_sum,
+    coprime_square_sum_table,
     dirichlet_convolve,
     divisors,
     exact_inertia,
@@ -116,6 +116,19 @@ def det_oracle(rows: list[list[int]]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# tables
+
+
+def test_arith_table_limit_is_its_slot_count_less_one():
+    for slots in ((), (0,)):
+        with pytest.raises(ValueError):
+            ArithTable(slots)
+    table = ArithTable((0, 5, 7))
+    assert table.limit == len(table) == 2
+    assert table[2] == 7
+
+
+# ---------------------------------------------------------------------------
 # sieves
 
 
@@ -163,7 +176,7 @@ def test_mobius_divisor_sum_vanishes():
 
 def test_rejects_nonpositive_argument():
     for fn in (sieve_totient, sieve_mobius, zeta_table, smith_determinant,
-               gcd_square_row_sum, lcm_square_row_sum, coprime_square_sum):
+               gcd_square_row_sum, lcm_square_row_sum, lambda t: coprime_square_sum_table(t)[t]):
         with pytest.raises(ValueError):
             fn(0)
 
@@ -231,7 +244,7 @@ def test_convolution_rejects_mismatched_limits():
 def test_mobius_inversion_round_trip(values):
     # (f * mu) * zeta == f exactly, for arbitrary integer tables
     n = len(values)
-    f = ArithTable(n, tuple([0] + values), "f")
+    f = ArithTable(tuple([0] + values))
     back = dirichlet_convolve(dirichlet_convolve(f, sieve_mobius(n)), zeta_table(n))
     assert back.to_list() == values
 
@@ -254,14 +267,14 @@ def test_gcd_row_sum_against_oracle():
 
 
 def test_coprime_square_sum_small_values():
-    assert coprime_square_sum(1) == 1
-    assert coprime_square_sum(2) == 1
-    assert coprime_square_sum(6) == 26
+    assert coprime_square_sum_table(1)[1] == 1
+    assert coprime_square_sum_table(2)[2] == 1
+    assert coprime_square_sum_table(6)[6] == 26
 
 
 def test_coprime_square_sum_against_oracle():
     for t in range(1, 501):
-        assert coprime_square_sum(t) == coprime_square_oracle(t)
+        assert coprime_square_sum_table(t)[t] == coprime_square_oracle(t)
 
 
 def test_lcm_row_sum_small_values():

@@ -25,13 +25,11 @@ from smith_spectra.bounds import (
     _trace_certificates,
     _unit_lower,
     closed_form_summary,
-    gcd_bounds,
     hong_cn,
     hong_lee_bounds,
     hong_lower_bound,
     improved_bounds,
     inner_radicand,
-    lcm_bounds,
     mh_interval,
     spectral_summary,
     ws_bounds,
@@ -148,7 +146,7 @@ def test_known_defect_ws_inner_bound_cancels_when_s_is_close_to_m():
 
 class TestGcdBounds:
     def test_reference_values_at_n20(self):
-        rep = gcd_bounds(20)
+        rep = improved_bounds(20, "gcd")
         assert rep.m == pytest.approx(10.5)
         assert rep.trace == pytest.approx(210.0)
         assert rep.s == pytest.approx(11.634, abs=5e-4)
@@ -158,12 +156,12 @@ class TestGcdBounds:
         assert rep.lambda_max_upper == pytest.approx(61.2114, abs=5e-4)
 
     def test_n3_brackets_actual(self):
-        rep = gcd_bounds(3).with_actual(solve(gcd_matrix(IntegerSet.first_n(3))))
+        rep = improved_bounds(3, "gcd").with_actual(solve(gcd_matrix(IntegerSet.first_n(3))))
         assert rep.actual_min == pytest.approx(0.324, abs=5e-3)
         assert rep.brackets_actual()
 
     def test_n2_falls_back_to_ws(self):
-        rep = gcd_bounds(2)
+        rep = improved_bounds(2, "gcd")
         assert rep.flag == WS_FALLBACK_FLAG
         assert rep.method == "ws"
         assert rep == replace(ws_bounds(closed_form_summary(2, "gcd"), "gcd"),
@@ -171,11 +169,11 @@ class TestGcdBounds:
 
     def test_rejects_n1(self):
         with pytest.raises(ValueError):
-            gcd_bounds(1)
+            improved_bounds(1, "gcd")
 
     @pytest.mark.parametrize("n", range(3, 61))
     def test_strict_bracketing_sweep(self, n):
-        rep = gcd_bounds(n).with_actual(solve(gcd_matrix(IntegerSet.first_n(n))))
+        rep = improved_bounds(n, "gcd").with_actual(solve(gcd_matrix(IntegerSet.first_n(n))))
         assert rep.brackets_actual(), f"gcd bracket failed at n={n}: {rep}"
 
     @pytest.mark.parametrize("n", [3, 10, 100])
@@ -184,11 +182,11 @@ class TestGcdBounds:
         improved = (n * s2 + 2 * (n - 1)) / Fraction(n * n - n)
         assert improved - s2 / (n - 1) == Fraction(2, n)
         assert inner_radicand(n, "gcd", s2) == improved
-        assert gcd_bounds(n).lambda_max_lower == (n + 1) / 2 + sqrt(float(improved))
+        assert improved_bounds(n, "gcd").lambda_max_lower == (n + 1) / 2 + sqrt(float(improved))
 
     @pytest.mark.parametrize("n", [3, 10, 100])
     def test_inner_bounds_strictly_tighter_than_ws(self, n):
-        imp = gcd_bounds(n)
+        imp = improved_bounds(n, "gcd")
         ws = ws_bounds(closed_form_summary(n, "gcd"), "gcd")
         assert imp.lambda_min_upper < ws.lambda_min_upper
         assert imp.lambda_max_lower > ws.lambda_max_lower
@@ -201,12 +199,12 @@ class TestLcmBounds:
         spec = solve(lcm_matrix(IntegerSet.first_n(4)))
         assert spec.eigenvalues[0] == pytest.approx(-8.843, abs=5e-3)
         assert spec.eigenvalues[2] == pytest.approx(-0.312, abs=5e-3)
-        rep = lcm_bounds(4).with_actual(spec)
+        rep = improved_bounds(4, "lcm").with_actual(spec)
         assert rep.brackets_actual()
 
     @pytest.mark.parametrize("n", range(4, 61))
     def test_strict_bracketing_sweep_from_four(self, n):
-        rep = lcm_bounds(n).with_actual(solve(lcm_matrix(IntegerSet.first_n(n))))
+        rep = improved_bounds(n, "lcm").with_actual(solve(lcm_matrix(IntegerSet.first_n(n))))
         assert rep.brackets_actual(), f"lcm bracket failed at n={n}: {rep}"
 
     def test_n3_inner_min_bound_is_violated(self):
@@ -214,7 +212,7 @@ class TestLcmBounds:
         # reverses at order 3, so the smallest eigenvalue (about -3.609)
         # sits above its claimed upper bound (about -4.976). Pin it so a
         # change in behavior is noticed.
-        rep = lcm_bounds(3).with_actual(solve(lcm_matrix(IntegerSet.first_n(3))))
+        rep = improved_bounds(3, "lcm").with_actual(solve(lcm_matrix(IntegerSet.first_n(3))))
         assert rep.actual_min == pytest.approx(-3.6087, abs=1e-3)
         assert rep.actual_min > rep.lambda_min_upper
         assert rep.lambda_min_upper == pytest.approx(-4.9761, abs=1e-3)
@@ -223,7 +221,7 @@ class TestLcmBounds:
         assert rep.lambda_max_lower < rep.actual_max < rep.lambda_max_upper
 
     def test_n2_falls_back_to_ws(self):
-        rep = lcm_bounds(2)
+        rep = improved_bounds(2, "lcm")
         assert rep.flag == WS_FALLBACK_FLAG
         assert rep == replace(ws_bounds(closed_form_summary(2, "lcm"), "lcm"),
                               flag=WS_FALLBACK_FLAG)
@@ -237,7 +235,7 @@ class TestLcmBounds:
         improved = (s2 + 32 * (n - 1)) / Fraction(n - 1)
         assert improved - s2 / (n - 1) == 32
         assert inner_radicand(n, "lcm", s2) == improved
-        assert lcm_bounds(n).lambda_max_lower == (n + 1) / 2 + sqrt(float(improved))
+        assert improved_bounds(n, "lcm").lambda_max_lower == (n + 1) / 2 + sqrt(float(improved))
 
     @pytest.mark.parametrize("n", [5, 30])
     def test_cross_term_inequalities(self, n):
@@ -347,7 +345,7 @@ class TestMattilaHaukkanen:
     @pytest.mark.parametrize("n", [5, 20, 45])
     def test_dominates_improved_gcd_bracket(self, n):
         lo, hi = mh_interval(n, 1, 0)
-        rep = gcd_bounds(n)
+        rep = improved_bounds(n, "gcd")
         assert lo < rep.lambda_min_lower and rep.lambda_max_upper < hi
 
     def test_sliced_gram_equals_a_fresh_build(self):
@@ -603,4 +601,4 @@ class TestBoundsReportContract:
 
     def test_brackets_actual_requires_actuals(self):
         with pytest.raises(ValueError):
-            gcd_bounds(5).brackets_actual()
+            improved_bounds(5, "gcd").brackets_actual()

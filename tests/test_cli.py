@@ -420,23 +420,15 @@ class TestCaps:
                           "--allow-large", "--format", "csv")
         assert code == 0
 
-    def test_env_var_overrides(self, capsys, monkeypatch):
-        monkeypatch.setenv("SMITH_SPECTRA_MAX_N", "2500")
-        code, _ = run_cli(capsys, "bounds", "--family", "gcd", "--n", "2200",
+    def test_caps_stay_separate_whatever_the_environment(self, capsys, monkeypatch):
+        # a former SMITH_SPECTRA_MAX_N replaced both caps with one number:
+        # at 1000 it let an order-501 solve through and refused bounds to 1500
+        monkeypatch.setenv("SMITH_SPECTRA_MAX_N", "1000")
+        code, _ = run_cli(capsys, "spectrum", "--family", "gcd", "--n", "501")
+        assert code == 2
+        code, _ = run_cli(capsys, "bounds", "--family", "gcd", "--n", "2..1500",
                           "--format", "csv")
         assert code == 0
-        monkeypatch.setenv("SMITH_SPECTRA_MAX_N", "10")
-        code, _ = run_cli(capsys, "bounds", "--family", "gcd", "--n", "20")
-        assert code == 2
-
-    @pytest.mark.parametrize("value", ["-5", "0"])
-    def test_env_var_below_one_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("SMITH_SPECTRA_MAX_N", value)
-        code = main(["bounds", "--n", "1"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err == f"error: SMITH_SPECTRA_MAX_N={value!r} must be >= 1\n"
-        assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
