@@ -11,8 +11,8 @@ Core identities used by the trace statistics of the gcd and lcm matrices on
     sum_{k<=t, gcd(k,t)=1} k^2  =  ((N^2 mu) * S)(t),   S(q) = q(q+1)(2q+1)/6
     sum_{j<=i} lcm(i,j)^2  =  i^2 (g * zeta)(i),   g = the coprime square sum
 
-where ``*`` is Dirichlet convolution, N(k) = k, phi is Euler's totient and
-mu the Moebius function.
+where ``*`` is Dirichlet convolution, N(k) = k, zeta = N^0 = 1, phi is
+Euler's totient and mu the Moebius function.
 Every table reads phi, mu or (-1)^omega from one sieve per process, grown
 on demand (never at import).
 """
@@ -50,10 +50,6 @@ class ArithTable:
 
     def __len__(self) -> int:
         return self.limit
-
-    def to_list(self) -> list[int]:
-        """Values at 1..limit as a plain list."""
-        return list(self.values[1:])
 
 
 def _require_positive(n: int) -> None:
@@ -115,12 +111,6 @@ def sieve_mobius(n: int) -> ArithTable:
     """Moebius mu on 1..n, O(n)."""
     _require_positive(n)
     return ArithTable(_sieved(n, 1))
-
-
-def zeta_table(n: int) -> ArithTable:
-    """The constant function zeta(k) = 1 on 1..n."""
-    _require_positive(n)
-    return ArithTable((0,) + (1,) * n)
 
 
 def power_table(n: int, k: int) -> ArithTable:
@@ -200,7 +190,7 @@ def lcm_square_row_sum(n: int) -> ArithTable:
     square sum, exact integers throughout.
     """
     _require_positive(n)
-    gz = dirichlet_convolve(coprime_square_sum_table(n), zeta_table(n)).values
+    gz = dirichlet_convolve(coprime_square_sum_table(n), power_table(n, 0)).values
     return ArithTable(tuple(i * i * v for i, v in enumerate(gz)))
 
 

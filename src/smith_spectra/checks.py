@@ -80,15 +80,15 @@ def _exact_checks(n_max: int) -> list[CheckResult]:
     ):
         out += [_equality(name, i, table[i], direct[i]) for i in range(1, n_max + 1)]
 
-    # Moebius inversion round trip for phi and N^2
-    mu, zeta = arith.sieve_mobius(n_max), arith.zeta_table(n_max)
+    # Moebius inversion round trip for phi and N^2 (slot 0 is 0 in every table)
+    mu, zeta = arith.sieve_mobius(n_max), arith.power_table(n_max, 0)
     for name, table in (("phi", arith.sieve_totient(n_max)), ("N^2", arith.power_table(n_max, 2))):
         back = arith.dirichlet_convolve(arith.dirichlet_convolve(table, mu), zeta)
-        ok = back.to_list() == table.to_list()
+        ok = back == table
         out.append(CheckResult(f"mobius_inversion[{name}]", n_max, ok))
 
     conv = arith.dirichlet_convolve(arith.sieve_totient(n_max), zeta)
-    ok = conv.to_list() == list(range(1, n_max + 1))
+    ok = conv.values[1:] == tuple(range(1, n_max + 1))
     out.append(CheckResult("totient_zeta_is_identity_map", n_max, ok))
 
     # trace statistics vs tr(A^2) on {1..n} = sum_{i<=n} (2 r_i - i^2), r_i a row sum

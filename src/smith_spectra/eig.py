@@ -84,15 +84,12 @@ def _as_array(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, float]:
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     work = np.array(entries, dtype=np.float64, order="C", copy=True)
-    # the norm scales the convergence target, so every matrix needs it; the
-    # two checks below only a raw array can fail, as a SymMatrix is checked
-    # finite and symmetric when it is built and its leading blocks inherit that
     fro = _frobenius_norm(work)
     if not isfinite(fro):
         raise ValueError(
             "matrix is out of float range: an entry or the sum of the squared "
             "entries is not finite")
-    if not isinstance(a, SymMatrix) and not np.array_equal(work, work.T):
+    if not np.array_equal(work, work.T):
         raise ValueError("matrix is not symmetric")
     return work, fro
 

@@ -96,14 +96,7 @@ class SymMatrix:
             raise ValueError("matrix entries are not symmetric")
         e.setflags(write=False)
         if self.exact is not None:
-            exact = np.asarray(self.exact)
-            exact = exact if exact.dtype == np.int64 else np.array(self.exact, dtype=object)
-            # int64 only while every row's sum of squares fits (spectral_summary)
-            top = int(abs(exact).max())
-            exact = exact.astype(np.int64 if self.order * top * top < 1 << 63 else object,
-                                 copy=False)
-            exact.setflags(write=False)
-            object.__setattr__(self, "exact", exact)
+            self.exact.setflags(write=False)
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.entries)
@@ -130,9 +123,12 @@ class SymMatrix:
 
 def _outer(ufunc: np.ufunc, family: str, s: IntegerSet) -> SymMatrix:
     """ufunc(x_i, x_j) for np.gcd or np.lcm: in int64 while max(x)^2, which
-    bounds every entry, fits, else in Python ints."""
+    bounds every entry, fits, else in Python ints. The result stays int64
+    only while every row's sum of squares fits (spectral_summary)."""
     x = np.array(s.elements, dtype=np.int64 if s.max * s.max < 1 << 63 else object)
     exact = ufunc.outer(x, x)
+    if exact.dtype == np.int64 and len(s) * int(exact.max()) ** 2 >= 1 << 63:
+        exact = exact.astype(object)
     return SymMatrix(len(s), exact.astype(np.float64), family, s, exact)
 
 

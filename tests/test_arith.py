@@ -29,7 +29,6 @@ from smith_spectra.arith import (
     sieve_mobius,
     sieve_totient,
     smith_determinant,
-    zeta_table,
 )
 from smith_spectra.eig import jacobi_eigenvalues
 from smith_spectra.matrices import (
@@ -128,13 +127,19 @@ def test_arith_table_limit_is_its_slot_count_less_one():
     assert table[2] == 7
 
 
+@pytest.mark.parametrize("k", [0, 2])
+def test_arith_table_index_outside_1_to_limit(k):
+    with pytest.raises(IndexError, match=f"index {k} outside 1..1"):
+        ArithTable((0, 5))[k]
+
+
 # ---------------------------------------------------------------------------
 # sieves
 
 
 def test_totient_base_cases():
-    assert sieve_totient(1).to_list() == [1]
-    assert sieve_totient(6).to_list() == [1, 1, 2, 2, 4, 2]
+    assert list(sieve_totient(1).values[1:]) == [1]
+    assert list(sieve_totient(6).values[1:]) == [1, 1, 2, 2, 4, 2]
 
 
 def test_totient_against_oracle():
@@ -156,7 +161,7 @@ def test_totient_n20_values():
 
 
 def test_mobius_base_cases():
-    assert sieve_mobius(4).to_list() == [1, -1, -1, 0]
+    assert list(sieve_mobius(4).values[1:]) == [1, -1, -1, 0]
 
 
 def test_mobius_against_oracle():
@@ -175,7 +180,7 @@ def test_mobius_divisor_sum_vanishes():
 
 
 def test_rejects_nonpositive_argument():
-    for fn in (sieve_totient, sieve_mobius, zeta_table, smith_determinant,
+    for fn in (sieve_totient, sieve_mobius, lambda n: power_table(n, 0), smith_determinant,
                gcd_square_row_sum, lcm_square_row_sum, lambda t: coprime_square_sum_table(t)[t]):
         with pytest.raises(ValueError):
             fn(0)
@@ -186,7 +191,7 @@ def test_rejects_nonpositive_argument():
 
 
 def test_jordan_order_one_is_totient():
-    assert jordan_totient(50, 1).to_list() == sieve_totient(50).to_list()
+    assert list(jordan_totient(50, 1).values[1:]) == list(sieve_totient(50).values[1:])
 
 
 def test_jordan_order_zero_is_unit():
@@ -203,6 +208,11 @@ def test_jordan_against_divisor_sum_oracle():
     assert table[6] == 24
 
 
+def test_power_table_rejects_negative_exponent():
+    with pytest.raises(ValueError, match="power exponent must be >= 0, got -1"):
+        power_table(3, -1)
+
+
 def test_jordan_rejects_negative_order():
     with pytest.raises(ValueError):
         jordan_totient(10, -1)
@@ -214,15 +224,15 @@ def test_jordan_rejects_negative_order():
 
 def test_convolution_mobius_zeta_is_unit():
     n = 80
-    conv = dirichlet_convolve(sieve_mobius(n), zeta_table(n))
+    conv = dirichlet_convolve(sieve_mobius(n), power_table(n, 0))
     assert conv[1] == 1
     assert all(conv[m] == 0 for m in range(2, n + 1))
 
 
 def test_convolution_totient_zeta_is_identity_map():
     n = 80
-    conv = dirichlet_convolve(sieve_totient(n), zeta_table(n))
-    assert conv.to_list() == list(range(1, n + 1))
+    conv = dirichlet_convolve(sieve_totient(n), power_table(n, 0))
+    assert list(conv.values[1:]) == list(range(1, n + 1))
 
 
 def test_convolution_matches_direct_divisor_sum():
@@ -236,7 +246,7 @@ def test_convolution_matches_direct_divisor_sum():
 
 def test_convolution_rejects_mismatched_limits():
     with pytest.raises(ValueError):
-        dirichlet_convolve(sieve_totient(5), zeta_table(6))
+        dirichlet_convolve(sieve_totient(5), power_table(6, 0))
 
 
 @settings(max_examples=50, deadline=None)
@@ -245,8 +255,8 @@ def test_mobius_inversion_round_trip(values):
     # (f * mu) * zeta == f exactly, for arbitrary integer tables
     n = len(values)
     f = ArithTable(tuple([0] + values))
-    back = dirichlet_convolve(dirichlet_convolve(f, sieve_mobius(n)), zeta_table(n))
-    assert back.to_list() == values
+    back = dirichlet_convolve(dirichlet_convolve(f, sieve_mobius(n)), power_table(n, 0))
+    assert list(back.values[1:]) == values
 
 
 # ---------------------------------------------------------------------------

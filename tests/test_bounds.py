@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from smith_spectra import arith, bounds, checks, matrices
-from smith_spectra.arith import power_table, sieve_totient, zeta_table
+from smith_spectra.arith import power_table, sieve_totient
 from smith_spectra.bounds import (
     HONG_MAX_N,
     WS_FALLBACK_FLAG,
@@ -142,6 +142,36 @@ def test_known_defect_ws_inner_bound_cancels_when_s_is_close_to_m():
     # the exact route keeps the digits
     gap = summary.m ** 2 - summary.s_squared / 2
     assert float(gap) / (float(summary.m) + summary.s / sqrt(2)) == pytest.approx(2.5)
+
+
+def test_known_defect_n2_bounds_print_on_the_unsafe_side(capsys):
+    """Known defect (ROADMAP item 15): at n = 2 the gcd matrix [[1, 1], [1, 2]]
+    and the lcm matrix [[1, 2], [2, 2]] have eigenvalues (3 -+ sqrt(d))/2,
+    d = 5 and 17, and the Wolkowicz-Styan bracket closes on them. The printed
+    lower bounds min_lower and max_lower lie above the eigenvalues they bound;
+    so does the float lambda_max_lower, and the float lambda_min_upper lies
+    below lambda_min. Decided in exact rationals: x > (3 - sqrt(d))/2 exactly
+    when 3 - 2x < 0 or (3 - 2x)^2 < d, and x > (3 + sqrt(d))/2 exactly when
+    2x - 3 > 0 and (2x - 3)^2 > d. Rounding each printed bound outward from
+    its exact endpoint (item 15) is expected to flip this test.
+    """
+    from smith_spectra.cli import main
+
+    def above_min(x, d):
+        return 3 - 2 * x < 0 or (3 - 2 * x) ** 2 < d
+
+    def above_max(x, d):
+        return 2 * x - 3 > 0 and (2 * x - 3) ** 2 > d
+
+    for family, d in (("gcd", 5), ("lcm", 17)):
+        assert main(["bounds", "--family", family, "--n", "2", "--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()[-2:]
+        printed = dict(zip(header.split(","), row.split(",")))
+        assert above_min(Fraction(printed["min_lower"]), d), family
+        assert above_max(Fraction(printed["max_lower"]), d), family
+        rep = improved_bounds(2, family)
+        assert not above_min(Fraction(rep.lambda_min_upper), d), family
+        assert above_max(Fraction(rep.lambda_max_lower), d), family
 
 
 class TestGcdBounds:
@@ -393,6 +423,10 @@ class TestMattilaHaukkanen:
         checks.run_checks(80)
         assert sorted(builds) == ["divisibility_gram", "gcd_matrix", "lcm_matrix"]
 
+    def test_rejects_order_zero(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            mh_interval(0, 1, 0)
+
     def test_rejects_non_integral_exponent_difference(self):
         with pytest.raises(ValueError):
             mh_interval(10, 1.5, 0.0)
@@ -587,7 +621,7 @@ class TestHongLowerBound:
     def test_reports_positivity_violation(self):
         # f = zeta gives (f * mu) = unit, which vanishes at divisor 2 of 4
         with pytest.raises(ValueError, match=r"\(f\*mu\)\(2\)"):
-            hong_lower_bound(IntegerSet.of(2, 4), zeta_table(4), 0.3)
+            hong_lower_bound(IntegerSet.of(2, 4), power_table(4, 0), 0.3)
 
 
 class TestBoundsReportContract:

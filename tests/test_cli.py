@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smith_spectra
-from smith_spectra import arith
+from smith_spectra import arith, eig
 from smith_spectra.cli import FAMILIES, SUBCOMMANDS, main
+from smith_spectra.eig import jacobi_eigenvalues
+from smith_spectra.matrices import IntegerSet, reciprocal_lcm_matrix
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -78,6 +80,14 @@ class TestBoundsCommand:
         assert row["min_lower"] <= row["actual_min"] + 1e-9
         assert row["actual_max"] <= row["max_upper"] + 1e-9
 
+    def test_reciprocal_lcm_rows_are_ws(self, capsys):
+        code, out = run_cli(capsys, "bounds", "--family", "recip-lcm", "--r", "2",
+                            "--n", "2..6", "--format", "csv")
+        assert code == 0
+        rows = parse_csv(out)
+        assert [row["n"] for row in rows] == ["2", "3", "4", "5", "6"]
+        assert {row["method"] for row in rows} == {"ws"}
+
     def test_missing_n_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "bounds", "--family", "gcd")
         assert code == 2
@@ -98,7 +108,9 @@ class TestBoundsCommand:
          "mixed(alpha=200,beta=150)"),
         # a range whose top is below its bottom
         (["--family", "gcd", "--n", "5..3"], "error: empty range '5..3'"),
-    ], ids=["overflow", "unwritable-out", "mixed-overflow", "empty-range"])
+        (["--family", "mixed", "--set", "1,2,3"],
+         "error: family 'mixed' is defined on {1..n}; use --n, not --set"),
+    ], ids=["overflow", "unwritable-out", "mixed-overflow", "empty-range", "mixed-set"])
     def test_bad_input_is_usage_error(self, capsys, tmp_path, argv, message):
         code = main(["bounds"] + [arg.format(tmp=tmp_path) for arg in argv])
         captured = capsys.readouterr()
@@ -146,6 +158,23 @@ class TestSpectrumCommand:
         assert code == 0
         payload = parse_json(out)
         assert [row["eigenvalue"] for row in payload["rows"]] == [1.0]
+
+    def test_reciprocal_lcm_family(self, capsys):
+        code, out = run_cli(capsys, "spectrum", "--family", "recip-lcm", "--r", "2",
+                            "--n", "5", "--format", "json")
+        assert code == 0
+        payload = parse_json(out)
+        assert payload["meta"]["family"] == "reciprocal_lcm(r=2)"
+        expected = jacobi_eigenvalues(reciprocal_lcm_matrix(IntegerSet.first_n(5), 2.0))
+        assert [row["eigenvalue"] for row in payload["rows"]] == list(expected.eigenvalues)
+
+    def test_nonconvergence_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(eig, "DEFAULT_MAX_SWEEPS", 0)
+        code = main(["spectrum", "--n", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: Jacobi iteration did not converge in 0 sweeps")
 
     def test_summary_metadata_is_exact(self, capsys):
         _, out = run_cli(capsys, "spectrum", "--family", "lcm", "--n", "2",
@@ -304,6 +333,13 @@ class TestExportMatrix:
         code, out = run_cli(capsys, "export-matrix", "--family", "lcm", "--n", "3")
         assert code == 0
         assert out.splitlines() == ["1,2,3", "2,2,6", "3,6,3"]
+
+    def test_reciprocal_lcm_entries(self, capsys):
+        code, out = run_cli(capsys, "export-matrix", "--family", "recip-lcm", "--r", "2",
+                            "--n", "3")
+        assert code == 0
+        assert out.splitlines() == ["1,0.25,0.1111111111", "0.25,0.25,0.02777777778",
+                                    "0.1111111111,0.02777777778,0.1111111111"]
 
     def test_write_to_file(self, capsys, tmp_path):
         target = tmp_path / "m.csv"

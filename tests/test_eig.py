@@ -98,6 +98,10 @@ class TestSolverContract:
         with pytest.raises(ValueError):
             jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            jacobi_eigenvalues(np.ones((2, 3)))
+
     def test_rejects_non_finite_entries(self):
         # caught before the symmetry test and before a sweep-0 "convergence"
         for bad in (float("nan"), float("inf"), 1e200):
@@ -281,8 +285,8 @@ class TestSpectralSummary:
         from smith_spectra.matrices import SymMatrix
 
         n = 6
-        eye_rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        m = SymMatrix(n, np.eye(n), "custom", IntegerSet.first_n(n), exact=eye_rows)
+        m = SymMatrix(n, np.eye(n), "custom", IntegerSet.first_n(n),
+                      exact=np.eye(n, dtype=np.int64))
         summary = spectral_summary(m)
         assert summary.exact
         assert summary.m == 1

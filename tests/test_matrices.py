@@ -33,6 +33,12 @@ class TestIntegerSet:
         with pytest.raises(ValueError):
             IntegerSet(tuple(bad))
 
+    @pytest.mark.parametrize("build", [IntegerSet.first_n, divisibility_matrix],
+                             ids=["first_n", "divisibility_matrix"])
+    def test_rejects_order_zero(self, build):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            build(0)
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             IntegerSet.parse("1,two,3")

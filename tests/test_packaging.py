@@ -4,10 +4,12 @@ setup.py and no build step, and a compiled sweep lives only in a
 ``__pycache__`` directory. The package namespace holds only
 ``__version__``, so importing one module loads only the layers below it.
 The names the benchmark harness calls and wraps stay where it looks them up.
-No module imports a name it never reads."""
+No module imports a name it never reads, and the README lists each
+subcommand's options as the parser has them."""
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from math import sqrt
@@ -76,6 +78,16 @@ def test_names_the_benchmark_binds():
                          (bounds, "closed_form_summary"), (bounds, "mh_interval"),
                          (matrices, "matrix_to_csv")):
         assert getattr(module, name).__module__ == module.__name__, name
+
+
+def test_readme_lists_each_subcommands_options():
+    # each "- `name`: `--option ...`" line names exactly the options the parser gives
+    from smith_spectra.cli import SUBCOMMANDS
+
+    readme = (ROOT / "README.md").read_text()
+    listed = {name: set(options.split())
+              for name, options in re.findall(r"^- `([a-z-]+)`: `([^`]*)`", readme, re.M)}
+    assert listed == {name: set(spec[2]) for name, spec in SUBCOMMANDS.items()}
 
 
 def test_eig_is_only_the_solver():
